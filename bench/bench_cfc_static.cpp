@@ -19,51 +19,39 @@ using namespace rse;
 
 namespace {
 
-struct ModeTally {
-  u32 injected = 0;
-  u32 detected_cfc = 0;
-  u32 detected_other = 0;
-  u32 sdc = 0;
-  u32 masked = 0;
-  u32 crash_hang = 0;
-  u64 latency_sum = 0;  // inject -> run end, detected runs only
+/// One CFC mode's fault-applied runs; campaign::aggregate does the tally.
+struct ModeRuns {
+  std::vector<campaign::RunResult> applied;
 
-  void add(const campaign::RunResult& result, Cycle inject_cycle) {
-    if (!result.fault_applied) return;
-    ++injected;
-    switch (result.outcome) {
-      case campaign::Outcome::kDetectedCfc:
-        ++detected_cfc;
-        latency_sum += result.cycles > inject_cycle ? result.cycles - inject_cycle : 0;
-        break;
-      case campaign::Outcome::kDetectedIcm:
-      case campaign::Outcome::kDetectedDdt:
-      case campaign::Outcome::kDetectedSelfCheck:
-        ++detected_other;
-        break;
-      case campaign::Outcome::kSdc:
-        ++sdc;
-        break;
-      case campaign::Outcome::kMasked:
-        ++masked;
-        break;
-      case campaign::Outcome::kCrash:
-      case campaign::Outcome::kHang:
-        ++crash_hang;
-        break;
-    }
+  void add(const campaign::RunResult& result) {
+    if (result.fault_applied) applied.push_back(result);
   }
-
-  double coverage() const {
-    const u32 unmasked = injected - masked;
-    return unmasked > 0 ? 100.0 * static_cast<double>(detected_cfc + detected_other) /
-                              static_cast<double>(unmasked)
-                        : 0.0;
-  }
-  double mean_latency() const {
-    return detected_cfc > 0 ? static_cast<double>(latency_sum) / detected_cfc : 0.0;
+  campaign::CampaignReport report() const {
+    return campaign::aggregate(campaign::CampaignSpec{}, 0, 0, applied, 0.0);
   }
 };
+
+u32 count(const campaign::CampaignReport& r, campaign::Outcome outcome) {
+  return r.by_outcome[static_cast<unsigned>(outcome)];
+}
+
+double coverage_pct(const campaign::CampaignReport& r) {
+  return r.unmasked() > 0
+             ? 100.0 * static_cast<double>(r.detected()) / static_cast<double>(r.unmasked())
+             : 0.0;
+}
+
+/// Mean cycles from injection to the end of the run over CFC detections.
+double mean_latency(const campaign::CampaignReport& r) {
+  u64 sum = 0;
+  for (const campaign::RunResult& result : r.results) {
+    if (result.outcome != campaign::Outcome::kDetectedCfc) continue;
+    const Cycle inject = result.record.inject_cycle;
+    sum += result.cycles > inject ? result.cycles - inject : 0;
+  }
+  const u32 n = count(r, campaign::Outcome::kDetectedCfc);
+  return n > 0 ? static_cast<double>(sum) / n : 0.0;
+}
 
 }  // namespace
 
@@ -92,14 +80,14 @@ int main(int argc, char** argv) {
   record.reg = campaign::kPcPseudoReg;
   record.mask = 0x8;
 
-  ModeTally range, table_mode;
+  ModeRuns range_runs, table_runs;
   u32 gap = 0;  // faults only the static table caught
   for (Cycle cycle = 20; cycle + 20 < golden_base->cycles; cycle += stride) {
     record.inject_cycle = cycle;
     const campaign::RunResult rb = runner.run_one(base, *golden_base, record);
     const campaign::RunResult rt = runner.run_one(tight, *golden_tight, record);
-    range.add(rb, cycle);
-    table_mode.add(rt, cycle);
+    range_runs.add(rb);
+    table_runs.add(rt);
     if (rt.outcome == campaign::Outcome::kDetectedCfc &&
         rb.outcome != campaign::Outcome::kDetectedCfc) {
       ++gap;
@@ -112,18 +100,24 @@ int main(int argc, char** argv) {
 
   report::Table table({"cfc mode", "injected", "det cfc", "det other", "sdc", "masked",
                        "crash/hang", "coverage %", "mean latency"});
-  const auto row = [&](const char* name, const ModeTally& t) {
-    table.row({name, std::to_string(t.injected), std::to_string(t.detected_cfc),
-               std::to_string(t.detected_other), std::to_string(t.sdc),
-               std::to_string(t.masked), std::to_string(t.crash_hang),
-               report::fmt_fixed(t.coverage(), 1), report::fmt_fixed(t.mean_latency(), 1)});
+  using campaign::Outcome;
+  const auto row = [&](const char* name, const campaign::CampaignReport& r) {
+    const u32 cfc = count(r, Outcome::kDetectedCfc);
+    table.row({name, std::to_string(r.results.size()), std::to_string(cfc),
+               std::to_string(r.detected() - cfc), std::to_string(count(r, Outcome::kSdc)),
+               std::to_string(count(r, Outcome::kMasked)),
+               std::to_string(count(r, Outcome::kCrash) + count(r, Outcome::kHang)),
+               report::fmt_fixed(coverage_pct(r), 1), report::fmt_fixed(mean_latency(r), 1)});
   };
+  const campaign::CampaignReport range = range_runs.report();
+  const campaign::CampaignReport table_mode = table_runs.report();
   row("range-check", range);
   row("static-table", table_mode);
   table.print();
   std::cout << "faults only the static table detected: " << gap << "\n";
 
-  if (table_mode.detected_cfc <= range.detected_cfc || gap == 0) {
+  if (count(table_mode, Outcome::kDetectedCfc) <= count(range, Outcome::kDetectedCfc) ||
+      gap == 0) {
     std::cerr << "static successor table failed to improve on the range check\n";
     return 1;
   }

@@ -35,46 +35,27 @@ using namespace rse;
 
 namespace {
 
-struct ModeTally {
-  u32 injected = 0;
-  u32 detected_ddt = 0;
-  u32 detected_other = 0;
-  u32 sdc = 0;
-  u32 masked = 0;
-  u32 crash_hang = 0;
+/// One DDT mode's fault-applied runs; campaign::aggregate does the tally.
+struct ModeRuns {
+  std::vector<campaign::RunResult> applied;
 
   void add(const campaign::RunResult& result) {
-    if (!result.fault_applied) return;
-    ++injected;
-    switch (result.outcome) {
-      case campaign::Outcome::kDetectedDdt:
-        ++detected_ddt;
-        break;
-      case campaign::Outcome::kDetectedIcm:
-      case campaign::Outcome::kDetectedCfc:
-      case campaign::Outcome::kDetectedSelfCheck:
-        ++detected_other;
-        break;
-      case campaign::Outcome::kSdc:
-        ++sdc;
-        break;
-      case campaign::Outcome::kMasked:
-        ++masked;
-        break;
-      case campaign::Outcome::kCrash:
-      case campaign::Outcome::kHang:
-        ++crash_hang;
-        break;
-    }
+    if (result.fault_applied) applied.push_back(result);
   }
-
-  double coverage() const {
-    const u32 unmasked = injected - masked;
-    return unmasked > 0 ? 100.0 * static_cast<double>(detected_ddt + detected_other) /
-                              static_cast<double>(unmasked)
-                        : 0.0;
+  campaign::CampaignReport report() const {
+    return campaign::aggregate(campaign::CampaignSpec{}, 0, 0, applied, 0.0);
   }
 };
+
+u32 count(const campaign::CampaignReport& r, campaign::Outcome outcome) {
+  return r.by_outcome[static_cast<unsigned>(outcome)];
+}
+
+double coverage_pct(const campaign::CampaignReport& r) {
+  return r.unmasked() > 0
+             ? 100.0 * static_cast<double>(r.detected()) / static_cast<double>(r.unmasked())
+             : 0.0;
+}
 
 /// Fault-free run with the footprint installed: pre-reservation hit rate.
 /// Returns the number of PST entries reserved at load (the footprint's
@@ -156,8 +137,8 @@ int main(int argc, char** argv) {
   // a page-significant bit — the corrupted base sends the next resolved
   // store pages off target.  Data faults flip one bit of a data word.
   const Cycle stride = std::max<Cycle>(1, (golden_base->cycles - 40) / samples);
-  ModeTally reg_base, reg_ctx0, reg_field, reg_tight;
-  ModeTally data_base, data_ctx0, data_field, data_tight;
+  ModeRuns reg_base_runs, reg_ctx0_runs, reg_field_runs, reg_tight_runs;
+  ModeRuns data_base_runs, data_ctx0_runs, data_field_runs, data_tight_runs;
   u32 gap = 0;          // faults only the footprint check caught
   u32 context_gain = 0; // faults only the context-sensitive footprint caught
   u32 field_gain = 0;   // faults only the field-sensitive footprint caught
@@ -174,10 +155,10 @@ int main(int argc, char** argv) {
     const campaign::RunResult rc = runner.run_one(ctx0, *golden_ctx0, reg_fault);
     const campaign::RunResult rf = runner.run_one(field_off, *golden_field, reg_fault);
     const campaign::RunResult rt = runner.run_one(tight, *golden_tight, reg_fault);
-    reg_base.add(rb);
-    reg_ctx0.add(rc);
-    reg_field.add(rf);
-    reg_tight.add(rt);
+    reg_base_runs.add(rb);
+    reg_ctx0_runs.add(rc);
+    reg_field_runs.add(rf);
+    reg_tight_runs.add(rt);
     if (rt.outcome == campaign::Outcome::kDetectedDdt &&
         rb.outcome != campaign::Outcome::kDetectedDdt) {
       ++gap;
@@ -198,10 +179,10 @@ int main(int argc, char** argv) {
       const u32 words = static_cast<u32>(golden_base->program.data.size() / 4);
       data_fault.addr = golden_base->program.data_base + (index % words) * 4;
       data_fault.mask = Word{1} << (index % 32);
-      data_base.add(runner.run_one(base, *golden_base, data_fault));
-      data_ctx0.add(runner.run_one(ctx0, *golden_ctx0, data_fault));
-      data_field.add(runner.run_one(field_off, *golden_field, data_fault));
-      data_tight.add(runner.run_one(tight, *golden_tight, data_fault));
+      data_base_runs.add(runner.run_one(base, *golden_base, data_fault));
+      data_ctx0_runs.add(runner.run_one(ctx0, *golden_ctx0, data_fault));
+      data_field_runs.add(runner.run_one(field_off, *golden_field, data_fault));
+      data_tight_runs.add(runner.run_one(tight, *golden_tight, data_fault));
     }
   }
 
@@ -210,20 +191,45 @@ int main(int argc, char** argv) {
 
   report::Table table({"fault class", "ddt mode", "injected", "det ddt", "det other", "sdc",
                        "masked", "crash/hang", "coverage %"});
-  const auto row = [&](const char* cls, const char* mode, const ModeTally& t) {
-    table.row({cls, mode, std::to_string(t.injected), std::to_string(t.detected_ddt),
-               std::to_string(t.detected_other), std::to_string(t.sdc),
-               std::to_string(t.masked), std::to_string(t.crash_hang),
-               report::fmt_fixed(t.coverage(), 1)});
+  const campaign::CampaignReport reg_base = reg_base_runs.report();
+  const campaign::CampaignReport reg_ctx0 = reg_ctx0_runs.report();
+  const campaign::CampaignReport reg_field = reg_field_runs.report();
+  const campaign::CampaignReport reg_tight = reg_tight_runs.report();
+  const campaign::CampaignReport data_base = data_base_runs.report();
+  const campaign::CampaignReport data_ctx0 = data_ctx0_runs.report();
+  const campaign::CampaignReport data_field = data_field_runs.report();
+  const campaign::CampaignReport data_tight = data_tight_runs.report();
+  // (fault class, ddt mode, tallies) in print order.
+  struct Row {
+    const char* cls;
+    const char* mode;
+    const campaign::CampaignReport& r;
   };
-  row("register", "dynamic-only", reg_base);
-  row("register", "static-ctx0", reg_ctx0);
-  row("register", "static-field-off", reg_field);
-  row("register", "static-footprint", reg_tight);
-  row("data-word", "dynamic-only", data_base);
-  row("data-word", "static-ctx0", data_ctx0);
-  row("data-word", "static-field-off", data_field);
-  row("data-word", "static-footprint", data_tight);
+  const std::vector<Row> rows = {
+      {"register", "dynamic-only", reg_base},   {"register", "static-ctx0", reg_ctx0},
+      {"register", "static-field-off", reg_field}, {"register", "static-footprint", reg_tight},
+      {"data-word", "dynamic-only", data_base}, {"data-word", "static-ctx0", data_ctx0},
+      {"data-word", "static-field-off", data_field},
+      {"data-word", "static-footprint", data_tight},
+  };
+  using campaign::Outcome;
+  // fault class, ddt mode, injected, det ddt, det other, sdc, masked,
+  // crash/hang, coverage %
+  const auto cells = [](const Row& row, int decimals) {
+    const campaign::CampaignReport& r = row.r;
+    const u32 ddt = count(r, Outcome::kDetectedDdt);
+    return std::vector<std::string>{
+        row.cls,
+        row.mode,
+        std::to_string(r.results.size()),
+        std::to_string(ddt),
+        std::to_string(r.detected() - ddt),
+        std::to_string(count(r, Outcome::kSdc)),
+        std::to_string(count(r, Outcome::kMasked)),
+        std::to_string(count(r, Outcome::kCrash) + count(r, Outcome::kHang)),
+        report::fmt_fixed(coverage_pct(r), decimals)};
+  };
+  for (const Row& row : rows) table.row(cells(row, 1));
   table.print();
   std::cout << "faults only the footprint check detected: " << gap << "\n";
   std::cout << "faults only the context-sensitive footprint detected: " << context_gain
@@ -234,25 +240,14 @@ int main(int argc, char** argv) {
     report::CsvWriter csv(*dir + "/ddt_static.csv",
                           {"fault_class", "mode", "injected", "det_ddt", "det_other", "sdc",
                            "masked", "crash_hang", "coverage_pct"});
-    const auto csv_row = [&](const char* cls, const char* mode, const ModeTally& t) {
-      csv.row({cls, mode, std::to_string(t.injected), std::to_string(t.detected_ddt),
-               std::to_string(t.detected_other), std::to_string(t.sdc),
-               std::to_string(t.masked), std::to_string(t.crash_hang),
-               report::fmt_fixed(t.coverage(), 2)});
-    };
-    csv_row("register", "dynamic-only", reg_base);
-    csv_row("register", "static-ctx0", reg_ctx0);
-    csv_row("register", "static-field-off", reg_field);
-    csv_row("register", "static-footprint", reg_tight);
-    csv_row("data-word", "dynamic-only", data_base);
-    csv_row("data-word", "static-ctx0", data_ctx0);
-    csv_row("data-word", "static-field-off", data_field);
-    csv_row("data-word", "static-footprint", data_tight);
+    for (const Row& row : rows) csv.row(cells(row, 2));
     csv.flush();
   }
 
-  const u32 tight_total = reg_tight.detected_ddt + data_tight.detected_ddt;
-  const u32 base_total = reg_base.detected_ddt + data_base.detected_ddt;
+  const u32 tight_total =
+      count(reg_tight, Outcome::kDetectedDdt) + count(data_tight, Outcome::kDetectedDdt);
+  const u32 base_total =
+      count(reg_base, Outcome::kDetectedDdt) + count(data_base, Outcome::kDetectedDdt);
   if (tight_total <= base_total || gap == 0) {
     std::cerr << "static footprint failed to improve on the dynamic-only DDT\n";
     return 1;
@@ -264,8 +259,8 @@ int main(int argc, char** argv) {
   if (expect_field_gain) {
     // Strictly higher register-fault coverage, or — at equal coverage — a
     // strictly tighter (smaller) pre-reserved page set.
-    const double cov_on = reg_tight.coverage();
-    const double cov_off = reg_field.coverage();
+    const double cov_on = coverage_pct(reg_tight);
+    const double cov_off = coverage_pct(reg_field);
     const bool better = cov_on > cov_off ||
                         (cov_on == cov_off && prereserved_tight < prereserved_field_off);
     if (!better) {

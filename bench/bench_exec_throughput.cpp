@@ -103,8 +103,10 @@ int main(int argc, char** argv) {
     else workload_list.push_back(arg);
   }
   if (workload_list.empty()) {
+    // kmeans-large is the campaign fast-forward workload and the one where
+    // superblock dispatch pays (~1.2x over per-block dispatch).
     workload_list = smoke ? std::vector<std::string>{"loop"}
-                          : std::vector<std::string>{"loop", "kmeans"};
+                          : std::vector<std::string>{"loop", "kmeans", "kmeans-large"};
   }
   const double min_seconds = smoke ? 0.05 : 0.4;
   constexpr double kRequiredSpeedup = 10.0;

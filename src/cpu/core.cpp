@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "common/bits.hpp"
+#include "isa/execute.hpp"
 
 namespace rse::cpu {
 
@@ -115,131 +115,36 @@ void Core::write_reg_with_undo(RuuEntry& entry, u8 reg, Word value) {
 }
 
 void Core::exec_functional(RuuEntry& e, const FetchedInstr& f) {
-  const Instr& in = e.instr;
-  const Addr pc = e.pc;
-  Addr next_pc = pc + 4;
-  const Word rs = regs_[in.rs];
-  const Word rt = regs_[in.rt];
-  const u32 uimm = static_cast<u32>(in.imm) & 0xFFFFu;
-
-  switch (in.op) {
-    case Op::kSll: write_reg_with_undo(e, in.rd, rt << in.shamt); break;
-    case Op::kSrl: write_reg_with_undo(e, in.rd, rt >> in.shamt); break;
-    case Op::kSra:
-      write_reg_with_undo(e, in.rd, static_cast<Word>(static_cast<i32>(rt) >> in.shamt));
-      break;
-    case Op::kSllv: write_reg_with_undo(e, in.rd, rt << (rs & 31)); break;
-    case Op::kSrlv: write_reg_with_undo(e, in.rd, rt >> (rs & 31)); break;
-    case Op::kSrav:
-      write_reg_with_undo(e, in.rd, static_cast<Word>(static_cast<i32>(rt) >> (rs & 31)));
-      break;
-    case Op::kAdd: write_reg_with_undo(e, in.rd, rs + rt); break;
-    case Op::kSub: write_reg_with_undo(e, in.rd, rs - rt); break;
-    case Op::kAnd: write_reg_with_undo(e, in.rd, rs & rt); break;
-    case Op::kOr: write_reg_with_undo(e, in.rd, rs | rt); break;
-    case Op::kXor: write_reg_with_undo(e, in.rd, rs ^ rt); break;
-    case Op::kNor: write_reg_with_undo(e, in.rd, ~(rs | rt)); break;
-    case Op::kSlt:
-      write_reg_with_undo(e, in.rd, static_cast<i32>(rs) < static_cast<i32>(rt) ? 1 : 0);
-      break;
-    case Op::kSltu: write_reg_with_undo(e, in.rd, rs < rt ? 1 : 0); break;
-    case Op::kMul: write_reg_with_undo(e, in.rd, rs * rt); break;
-    case Op::kMulh:
-      write_reg_with_undo(
-          e, in.rd,
-          static_cast<Word>((static_cast<i64>(static_cast<i32>(rs)) *
-                             static_cast<i64>(static_cast<i32>(rt))) >>
-                            32));
-      break;
-    case Op::kDiv:
-      write_reg_with_undo(e, in.rd,
-                          rt == 0 ? 0
-                                  : static_cast<Word>(static_cast<i32>(rs) /
-                                                      static_cast<i32>(rt)));
-      break;
-    case Op::kRem:
-      write_reg_with_undo(e, in.rd,
-                          rt == 0 ? 0
-                                  : static_cast<Word>(static_cast<i32>(rs) %
-                                                      static_cast<i32>(rt)));
-      break;
-    case Op::kAddi: write_reg_with_undo(e, in.rt, rs + static_cast<Word>(in.imm)); break;
-    case Op::kAndi: write_reg_with_undo(e, in.rt, rs & uimm); break;
-    case Op::kOri: write_reg_with_undo(e, in.rt, rs | uimm); break;
-    case Op::kXori: write_reg_with_undo(e, in.rt, rs ^ uimm); break;
-    case Op::kSlti:
-      write_reg_with_undo(e, in.rt, static_cast<i32>(rs) < in.imm ? 1 : 0);
-      break;
-    case Op::kSltiu:
-      write_reg_with_undo(e, in.rt, rs < static_cast<Word>(in.imm) ? 1 : 0);
-      break;
-    case Op::kLui: write_reg_with_undo(e, in.rt, uimm << 16); break;
-    case Op::kLw:
-    case Op::kLh:
-    case Op::kLhu:
-    case Op::kLb:
-    case Op::kLbu: {
-      const u32 size = (in.op == Op::kLw) ? 4 : (in.op == Op::kLb || in.op == Op::kLbu) ? 1 : 2;
-      // Misaligned accesses are truncated to alignment (documented model
-      // simplification; guest code keeps data aligned).
-      const Addr addr = (rs + static_cast<Word>(in.imm)) & ~(size - 1);
-      e.eff_addr = addr;
-      e.mem_size = static_cast<u8>(size);
-      e.is_mem = true;
-      Word raw = read_mem_through_stores(addr, size, ruu_count_);
-      Word value = raw;
-      if (in.op == Op::kLb) value = static_cast<Word>(sign_extend(raw & 0xFF, 8));
-      if (in.op == Op::kLh) value = static_cast<Word>(sign_extend(raw & 0xFFFF, 16));
-      e.mem_value = value;
-      write_reg_with_undo(e, in.rt, value);
-      break;
+  // Register writes are undo-logged for CHECK-error flushes, loads resolve
+  // through older in-flight stores, and stores stay buffered in the entry
+  // until commit writes them to memory.
+  struct DispatchPolicy {
+    Core& core;
+    RuuEntry& entry;
+    Word reg(u8 r) const { return core.regs_[r]; }
+    void write(u8 r, Word value) { core.write_reg_with_undo(entry, r, value); }
+    Word load(Addr addr, u32 size) const {
+      return core.read_mem_through_stores(addr, size, core.ruu_count_);
     }
-    case Op::kSw:
-    case Op::kSh:
-    case Op::kSb: {
-      const u32 size = in.op == Op::kSw ? 4 : in.op == Op::kSh ? 2 : 1;
-      const Addr addr = (rs + static_cast<Word>(in.imm)) & ~(size - 1);
-      e.eff_addr = addr;
-      e.mem_size = static_cast<u8>(size);
-      e.mem_value = rt;
-      e.is_mem = true;
-      e.is_store = true;
-      break;
-    }
-    case Op::kBeq: e.taken = rs == rt; break;
-    case Op::kBne: e.taken = rs != rt; break;
-    case Op::kBlt: e.taken = static_cast<i32>(rs) < static_cast<i32>(rt); break;
-    case Op::kBge: e.taken = static_cast<i32>(rs) >= static_cast<i32>(rt); break;
-    case Op::kBltu: e.taken = rs < rt; break;
-    case Op::kBgeu: e.taken = rs >= rt; break;
-    case Op::kJ: next_pc = in.target << 2; break;
-    case Op::kJal:
-      write_reg_with_undo(e, isa::kRa, pc + 4);
-      next_pc = in.target << 2;
-      break;
-    case Op::kJr: next_pc = rs; break;
-    case Op::kJalr:
-      write_reg_with_undo(e, in.rd, pc + 4);
-      next_pc = rs;
-      break;
-    case Op::kChk:
-    case Op::kSyscall:
-    case Op::kInvalid:
-      break;  // no functional effect at dispatch
-  }
+    void store(Addr, u32, Word) {}
+  } policy{*this, e};
+  const isa::Effect fx = isa::execute(e.instr, e.pc, policy);
+  e.taken = fx.taken;
+  e.is_mem = fx.is_mem;
+  e.is_store = fx.is_store;
+  e.mem_size = fx.mem_size;
+  e.eff_addr = fx.ea;
+  e.mem_value = fx.mem_value;
 
-  if (e.instr.op_class() == OpClass::kBranch) {
-    next_pc = e.taken ? pc + 4 + (static_cast<Word>(e.instr.imm) << 2) : pc + 4;
-  }
-  if (branch_fault_ && e.instr.is_control()) next_pc = branch_fault_(pc, next_pc);
+  Addr next_pc = fx.next_pc;
+  if (branch_fault_ && e.instr.is_control()) next_pc = branch_fault_(e.pc, next_pc);
   e.recover_pc = next_pc;
   e.mispredicted = next_pc != f.predicted_next;
   pc_ = next_pc;
-  regs_[0] = 0;
   // Syscalls/traps have their architectural effect at commit, not here; every
   // other instruction (CHK included) has now executed functionally, advancing
   // the position the fast-forward controller aligns against.
-  if (in.op != Op::kSyscall && in.op != Op::kInvalid) ++functional_pos_;
+  if (e.instr.op != Op::kSyscall && e.instr.op != Op::kInvalid) ++functional_pos_;
 }
 
 // ------------------------------------------------------------------- commit

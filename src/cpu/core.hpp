@@ -1,8 +1,12 @@
 // Out-of-order superscalar core in the style of SimpleScalar's sim-outorder:
 // a unified RUU (ROB + reservation stations), an LSQ, 4-wide
 // fetch/dispatch/issue/commit, and in-order functional execution at dispatch
-// with a timing model layered on top.  This is the pipeline of Figure 1 of
-// the paper, with tap points feeding the RSE framework:
+// with a timing model layered on top.  Dispatch executes through
+// isa::execute (isa/execute.hpp), the semantics exec::FastEngine shares; the
+// core supplies undo-logged register writes, loads resolved through older
+// in-flight stores, and stores held in the RUU until commit.  This is the
+// pipeline of Figure 1 of the paper, with tap points feeding the RSE
+// framework:
 //
 //   dispatch      -> Fetch_Out + Regfile_Data (1-cycle latch)
 //   writeback     -> Execute_Out, Memory_Out

@@ -4,12 +4,14 @@
 // the timed mem::Bus/cache hierarchy per access (the flat-RAM pattern of the
 // Hazard3 rvcpp core — see SNIPPETS.md).
 //
-// Semantics are bit-for-bit the isa::Interpreter's (the golden model): same
-// address masking, division-by-zero results, sign extension, r0 pinning, and
-// CHK-as-architectural-NOP.  The engine never executes syscalls or illegal
-// words — it stops ON them with the PC still pointing at the instruction, so
-// the caller (FastSession) can either delegate to the guest OS or bail into
-// the cycle-accurate core with consistent state.
+// Every instruction executes through isa::execute (isa/execute.hpp), the
+// same semantics the cycle-accurate core uses; this engine only supplies
+// plain register writes and direct-memory loads/stores.  isa::Interpreter
+// stays the independent oracle the differential suites compare against.
+// The engine never executes syscalls or illegal words — it stops ON them
+// with the PC still pointing at the instruction, so the caller
+// (FastSession) can either delegate to the guest OS or bail into the
+// cycle-accurate core with consistent state.
 //
 // Stores into the text segment invalidate overlapping cached blocks and end
 // the current block, so self-modifying code re-decodes before its next
@@ -73,19 +75,25 @@ class FastEngine {
   u64 chks_executed() const { return chks_executed_; }
 
   /// Per-instruction trace hook (DME reference recording, rse/dme.hpp):
-  /// fired before each instruction executes with the same fields the cycle-
+  /// fired as each instruction executes with the same fields the cycle-
   /// accurate core's commit-record hook reports — raw fetched word, masked
   /// effective address, and the memory value (post-sign-extension loaded
-  /// value for loads, unmasked rt for stores).  Syscalls and illegal words
-  /// stop the engine unexecuted and are NOT traced here; FastSession emits
-  /// the record for the syscalls it delegates.  Unset in production runs —
-  /// the inner loop pays one branch.
+  /// value for loads, unmasked rt for stores), all taken from isa::Effect.
+  /// Syscalls and illegal words stop the engine unexecuted and are NOT
+  /// traced here; FastSession emits the record for the syscalls it
+  /// delegates.  Unset in production runs, which then take the untraced
+  /// instantiation of the block loop.
   using TraceHook =
       std::function<void(Addr pc, Word raw, bool is_mem, bool is_store, Addr ea, Word value)>;
   void set_trace(TraceHook hook) { trace_ = std::move(hook); }
 
  private:
-  void trace_instr(Addr pc, const isa::Instr& in);
+  struct BlockPolicy;  // isa::execute's register/memory accesses
+
+  /// run_until's block loop, instantiated with and without the trace hook
+  /// so the untraced loop does no tracing work.
+  template <bool kTraced>
+  Stop run_blocks(u64 target);
 
   // One-entry data TLB: guest page -> host pointer.  Pages are stable
   // (mem::MainMemory keeps them behind unique_ptr), so entries stay valid

@@ -40,11 +40,15 @@ bool Interpreter::step() {
                                    static_cast<i64>(static_cast<i32>(rt))) >>
                                   32));
       break;
+    // By zero → 0; INT32_MIN / -1 → INT32_MIN remainder 0 (never a host trap).
     case Op::kDiv:
-      wr(in.rd, rt == 0 ? 0 : static_cast<Word>(static_cast<i32>(rs) / static_cast<i32>(rt)));
+      if (rt == 0) wr(in.rd, 0);
+      else if (rs == 0x8000'0000u && rt == ~0u) wr(in.rd, rs);
+      else wr(in.rd, static_cast<Word>(static_cast<i32>(rs) / static_cast<i32>(rt)));
       break;
     case Op::kRem:
-      wr(in.rd, rt == 0 ? 0 : static_cast<Word>(static_cast<i32>(rs) % static_cast<i32>(rt)));
+      if (rt == 0 || rt == ~0u) wr(in.rd, 0);
+      else wr(in.rd, static_cast<Word>(static_cast<i32>(rs) % static_cast<i32>(rt)));
       break;
     case Op::kAddi: wr(in.rt, rs + static_cast<Word>(in.imm)); break;
     case Op::kAndi: wr(in.rt, rs & uimm); break;

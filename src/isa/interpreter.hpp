@@ -2,6 +2,11 @@
 // model used to differential-test the out-of-order core: both must retire
 // the same architectural state for any program.  CHK instructions are
 // architectural NOPs here; syscalls are delegated to a host callback.
+//
+// The production engines (cpu::Core, exec::FastEngine) share one semantics,
+// isa::execute (isa/execute.hpp).  This interpreter deliberately keeps its
+// own opcode switch so the differential suites compare two independent
+// implementations.
 #pragma once
 
 #include <array>

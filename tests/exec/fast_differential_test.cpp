@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/edge_operand_program.hpp"
 #include "../support/random_program.hpp"
 #include "../support/sim_runner.hpp"
 #include "exec/fast_session.hpp"
@@ -42,10 +43,13 @@ struct RunTrace {
   std::vector<u8> arena;
 };
 
-std::vector<u8> arena_bytes(SimRunner& runner) {
+/// Bytes of `arena` compared: the random programs' arena plus register dump.
+constexpr u32 kArenaBytes = (64 + testing::kDumpOffsetWords + 16) * 4;
+
+std::vector<u8> arena_bytes(SimRunner& runner, u32 bytes = kArenaBytes) {
   const Addr arena = runner.program().symbol("arena");
-  std::vector<u8> out((64 + testing::kDumpOffsetWords + 16) * 4);
-  runner.machine().memory().read_block(arena, out.data(), static_cast<u32>(out.size()));
+  std::vector<u8> out(bytes);
+  runner.machine().memory().read_block(arena, out.data(), bytes);
   return out;
 }
 
@@ -62,7 +66,8 @@ void attach_commit_probe(SimRunner& runner, std::vector<Snapshot>* out) {
       });
 }
 
-RunTrace run_classic(const std::string& source, bool framework = false) {
+RunTrace run_classic(const std::string& source, bool framework = false,
+                     u32 bytes = kArenaBytes) {
   os::MachineConfig config;
   config.framework_present = framework;
   SimRunner runner(config);
@@ -73,11 +78,12 @@ RunTrace run_classic(const std::string& source, bool framework = false) {
   trace.finished = runner.os().finished();
   trace.exit_code = runner.os().exit_code();
   trace.output = runner.os().output();
-  trace.arena = arena_bytes(runner);
+  trace.arena = arena_bytes(runner, bytes);
   return trace;
 }
 
-RunTrace run_fast(const std::string& source, bool framework = false, bool superblocks = true) {
+RunTrace run_fast(const std::string& source, bool framework = false, bool superblocks = true,
+                  u32 bytes = kArenaBytes) {
   os::MachineConfig config;
   config.framework_present = framework;
   SimRunner runner(config);
@@ -104,7 +110,7 @@ RunTrace run_fast(const std::string& source, bool framework = false, bool superb
   trace.finished = runner.os().finished();
   trace.exit_code = runner.os().exit_code();
   trace.output = runner.os().output();
-  trace.arena = arena_bytes(runner);
+  trace.arena = arena_bytes(runner, bytes);
   return trace;
 }
 
@@ -152,6 +158,20 @@ TEST_P(FastDifferentialCalls, StateMatchesAtEveryBoundaryAndExit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastDifferentialCalls, ::testing::Range<u64>(5100, 5150));
+
+class FastDifferentialEdgeOperands : public ::testing::TestWithParam<bool> {};
+
+TEST_P(FastDifferentialEdgeOperands, EveryEdgeResultMatchesClassic) {
+  // Every opcode the random generators never emit, on 0, ±1, INT32_MIN,
+  // INT32_MAX and out-of-range shift amounts — INT32_MIN / -1 included — in
+  // both dispatch modes.
+  const std::string source = testing::edge_operand_program();
+  const u32 bytes = testing::kEdgeOperandWords * 4;
+  expect_traces_equal(run_fast(source, /*framework=*/false, GetParam(), bytes),
+                      run_classic(source, /*framework=*/false, bytes));
+}
+
+INSTANTIATE_TEST_SUITE_P(Superblocks, FastDifferentialEdgeOperands, ::testing::Bool());
 
 class FastDifferentialCallHeavy : public ::testing::TestWithParam<u64> {};
 

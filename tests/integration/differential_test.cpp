@@ -4,6 +4,7 @@
 // instrumentation, and across pipeline-stressing configurations.
 #include <gtest/gtest.h>
 
+#include "../support/edge_operand_program.hpp"
 #include "../support/random_program.hpp"
 #include "../support/sim_runner.hpp"
 #include "isa/interpreter.hpp"
@@ -16,9 +17,13 @@ using testing::RandomProgramOptions;
 using testing::generate_random_program;
 using testing::SimRunner;
 
+/// Bytes of `arena` compared: the random programs' arena plus register dump.
+constexpr u32 kArenaBytes = (64 + testing::kDumpOffsetWords + 16) * 4;
+
 /// Final arena content (working-register dump included) after running
 /// `source` on the golden interpreter.
-std::vector<u8> golden_arena(const std::string& source, u64* instructions = nullptr) {
+std::vector<u8> golden_arena(const std::string& source, u64* instructions = nullptr,
+                             u32 bytes = kArenaBytes) {
   const isa::Program program = isa::assemble(source);
   mem::MainMemory memory;
   for (std::size_t i = 0; i < program.text.size(); ++i) {
@@ -44,19 +49,20 @@ std::vector<u8> golden_arena(const std::string& source, u64* instructions = null
   EXPECT_TRUE(exited) << "golden model did not reach sys_exit";
   if (instructions != nullptr) *instructions = interp.instructions_executed();
   const Addr arena = program.symbol("arena");
-  std::vector<u8> out((64 + testing::kDumpOffsetWords + 16) * 4);
-  memory.read_block(arena, out.data(), static_cast<u32>(out.size()));
+  std::vector<u8> out(bytes);
+  memory.read_block(arena, out.data(), bytes);
   return out;
 }
 
-std::vector<u8> machine_arena(const std::string& source, const os::MachineConfig& config) {
+std::vector<u8> machine_arena(const std::string& source, const os::MachineConfig& config,
+                              u32 bytes = kArenaBytes) {
   SimRunner runner(config);
   runner.load_source(source);
   runner.run();
   EXPECT_TRUE(runner.os().finished());
   const Addr arena = runner.program().symbol("arena");
-  std::vector<u8> out((64 + testing::kDumpOffsetWords + 16) * 4);
-  runner.machine().memory().read_block(arena, out.data(), static_cast<u32>(out.size()));
+  std::vector<u8> out(bytes);
+  runner.machine().memory().read_block(arena, out.data(), bytes);
   return out;
 }
 
@@ -139,6 +145,15 @@ TEST_P(DifferentialTinyPipeline, StressedStructuresMatchGoldenModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTinyPipeline, ::testing::Range<u64>(400, 425));
+
+TEST(Differential, EdgeOperandsMatchGoldenModel) {
+  // Every opcode the random generators never emit, on 0, ±1, INT32_MIN,
+  // INT32_MAX and out-of-range shift amounts — INT32_MIN / -1 included.
+  const std::string source = testing::edge_operand_program();
+  const u32 bytes = testing::kEdgeOperandWords * 4;
+  EXPECT_EQ(machine_arena(source, os::MachineConfig{}, bytes),
+            golden_arena(source, nullptr, bytes));
+}
 
 TEST(Differential, CommittedInstructionCountMatchesGoldenModel) {
   // Squashes must never be counted: the committed-instruction statistic

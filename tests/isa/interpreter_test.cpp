@@ -143,6 +143,23 @@ main:
   EXPECT_EQ(i.reg(kS0 + 6), 0u);
 }
 
+TEST_F(InterpFixture, DivisionOverflowIsDefined) {
+  // INT32_MIN / -1 overflows in C++; the ISA defines quotient INT32_MIN and
+  // remainder 0 (docs/isa.md) instead of trapping the host.
+  Interpreter i = run(R"(
+.text
+main:
+  lui t0, 0x8000
+  li t1, -1
+  div s5, t0, t1
+  rem s6, t0, t1
+  li v0, 1
+  syscall
+)");
+  EXPECT_EQ(i.reg(kS0 + 5), 0x8000'0000u);
+  EXPECT_EQ(i.reg(kS0 + 6), 0u);
+}
+
 TEST_F(InterpFixture, IllegalInstructionStops) {
   const Program program = assemble(".text\nmain:\n  nop\n");
   memory.write_u32(program.text_base, program.text[0]);
