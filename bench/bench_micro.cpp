@@ -2,6 +2,8 @@
 // lookups, DDM operations, assembly, and whole-machine cycle throughput.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "isa/assembler.hpp"
 #include "mem/cache.hpp"
 #include "modules/ddt/ddt.hpp"
@@ -100,11 +102,14 @@ BENCHMARK(BM_Assemble);
 
 void BM_MachineCycleThroughput(benchmark::State& state) {
   // Whole-machine simulation speed in guest cycles per host second.
+  // Arg 0: framework absent.  Arg 1: framework present, no module enabled.
+  // Arg 2: framework present and the loop CHECK-instrumented, so the ICM
+  // checks every branch (Table 4's framework+ICM configuration).
   os::MachineConfig config;
   config.framework_present = state.range(0) != 0;
   os::Machine machine(config);
   os::GuestOs guest(machine);
-  guest.load(isa::assemble(R"(
+  std::string source = R"(
 .text
 main:
 spin:
@@ -112,13 +117,18 @@ spin:
   addi t1, t1, 2
   add t2, t0, t1
   b spin
-)"));
+)";
+  if (state.range(0) == 2) source = workloads::instrument_checks(source);
+  guest.load(isa::assemble(source));
   for (auto _ : state) {
     guest.step();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  if (machine.icm() != nullptr) {
+    state.counters["icm_checks"] = static_cast<double>(machine.icm()->stats().checks_completed);
+  }
 }
-BENCHMARK(BM_MachineCycleThroughput)->Arg(0)->Arg(1);
+BENCHMARK(BM_MachineCycleThroughput)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 

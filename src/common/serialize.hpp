@@ -11,7 +11,11 @@
 //
 // Unordered containers are serialized in sorted key order so the byte image
 // is a pure function of the value state, independent of hash seeds or
-// insertion history.
+// insertion history.  Types copied as raw bytes must have no padding (a
+// static_assert enforces it): padding bytes are never initialized, and two
+// machines with the same value state would otherwise write different
+// archives.  A padded struct either spells its padding out as a field or
+// serializes field by field through serialize_state.
 #pragma once
 
 #include <algorithm>
@@ -111,6 +115,13 @@ struct IsStdContainer<std::deque<T, A>> : std::true_type {};
 
 }  // namespace detail
 
+/// Types the archive may copy as raw bytes: every byte is a value byte.
+/// Floating-point scalars qualify too (their bytes are all value bits).
+template <typename T>
+inline constexpr bool kRawSerializable =
+    std::is_trivially_copyable_v<T> &&
+    (std::has_unique_object_representations_v<T> || std::is_floating_point_v<T>);
+
 template <class Ar, typename T>
 void serialize_sequence(Ar& ar, T& seq) {
   u64 count = seq.size();
@@ -177,7 +188,7 @@ void serialize_value(Ar& ar, T& value) {
     value.serialize_state(ar);
   } else if constexpr (detail::IsStdContainer<T>::value) {
     using Element = typename T::value_type;
-    if constexpr (std::is_trivially_copyable_v<Element> &&
+    if constexpr (kRawSerializable<Element> && !detail::HasSerializeState<Ar, Element> &&
                   std::is_same_v<T, std::vector<Element>>) {
       u64 count = value.size();
       ar.raw(&count, sizeof count);
@@ -187,6 +198,9 @@ void serialize_value(Ar& ar, T& value) {
       serialize_sequence(ar, value);
     }
   } else if constexpr (std::is_trivially_copyable_v<T>) {
+    static_assert(kRawSerializable<T>,
+                  "padded type copied as raw bytes: make the padding a field or add "
+                  "serialize_state");
     ar.raw(&value, sizeof value);
   } else {
     static_assert(detail::HasSerializeState<Ar, T>,

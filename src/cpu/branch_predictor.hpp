@@ -30,11 +30,11 @@ class BranchPredictor {
   explicit BranchPredictor(const PredictorConfig& config)
       : config_(config),
         counters_(config.bimodal_entries, 2),  // weakly taken
-        btb_(config.btb_entries) {
+        btb_(config.btb_entries),
+        ras_(config.ras_entries, 0) {
     if (!is_pow2(config.bimodal_entries) || !is_pow2(config.btb_entries)) {
       throw ConfigError("predictor table sizes must be powers of two");
     }
-    ras_.reserve(config.ras_entries);
   }
 
   /// Predict a conditional branch at `pc`.
@@ -67,16 +67,19 @@ class BranchPredictor {
     if (mispredicted) ++stats_.indirect_mispredicts;
   }
 
-  // Return-address stack, updated speculatively at fetch.
+  // Return-address stack, updated speculatively at fetch: a fixed ring
+  // whose push overwrites the oldest entry once all are in use.
   void ras_push(Addr return_pc) {
-    if (ras_.size() == config_.ras_entries) ras_.erase(ras_.begin());
-    ras_.push_back(return_pc);
+    if (ras_.empty()) return;  // no RAS configured
+    ras_[ras_top_] = return_pc;
+    ras_top_ = (ras_top_ + 1) % static_cast<u32>(ras_.size());
+    if (ras_count_ < ras_.size()) ++ras_count_;
   }
   Addr ras_pop() {
-    if (ras_.empty()) return 0;
-    const Addr top = ras_.back();
-    ras_.pop_back();
-    return top;
+    if (ras_count_ == 0) return 0;
+    ras_top_ = (ras_top_ + static_cast<u32>(ras_.size()) - 1) % static_cast<u32>(ras_.size());
+    --ras_count_;
+    return ras_[ras_top_];
   }
 
   const PredictorStats& stats() const { return stats_; }
@@ -87,14 +90,17 @@ class BranchPredictor {
     ar.field(counters_);
     ar.field(btb_);
     ar.field(ras_);
+    ar.field(ras_top_);
+    ar.field(ras_count_);
     ar.field(stats_);
   }
 
  private:
-  struct BtbEntry {
-    bool valid = false;
+  struct BtbEntry {  // raw-serialized: the padding is a field
     Addr pc = 0;
     Addr target = 0;
+    bool valid = false;
+    u8 pad[3] = {};
   };
 
   static u32 index(Addr pc, u32 entries) { return (pc >> 2) & (entries - 1); }
@@ -103,6 +109,8 @@ class BranchPredictor {
   std::vector<u8> counters_;
   std::vector<BtbEntry> btb_;
   std::vector<Addr> ras_;
+  u32 ras_top_ = 0;    // slot the next push writes
+  u32 ras_count_ = 0;  // entries in use
   PredictorStats stats_;
 };
 

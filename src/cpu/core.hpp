@@ -235,48 +235,50 @@ class Core {
   }
 
  private:
+  // Snapshots copy fetch-buffer and RUU entries as raw bytes, so both are
+  // ordered by alignment and carry any padding as a field.
   struct FetchedInstr {
     Addr pc = 0;
     Word raw = 0;
     isa::Instr instr;
-    bool predicted_taken = false;
     Addr predicted_next = 0;
+    bool predicted_taken = false;
     bool wrong_path = false;
+    u8 pad[2] = {};
     Cycle ready_at = 0;  // icache fill time
   };
 
   struct RuuEntry {
-    bool valid = false;
     u64 seq = 0;
     Addr pc = 0;
     Word raw = 0;
     isa::Instr instr;
-    bool wrong_path = false;
 
     // functional results (correct-path only)
     Word result = 0;
     Addr eff_addr = 0;
     Word mem_value = 0;  // store value / loaded value
+    Addr recover_pc = 0;
     u8 mem_size = 0;
     bool taken = false;
     bool mispredicted = false;
-    Addr recover_pc = 0;
 
     // register-undo record for CHECK-error flush recovery
     bool has_dest = false;
-    u8 dest_reg = 0;
     Word old_dest_value = 0;
+    u8 dest_reg = 0;
 
-    // scheduling
+    // state and scheduling
+    bool valid = false;
+    bool wrong_path = false;
     bool issued = false;
     bool completed = false;
-    Cycle complete_at = 0;
-    u32 producer_slot[2] = {0, 0};
-    u64 producer_seq[2] = {0, 0};
-    u8 producer_count = 0;
-
     bool is_mem = false;
     bool is_store = false;
+    u8 producer_count = 0;
+    u32 producer_slot[2] = {0, 0};
+    Cycle complete_at = 0;
+    u64 producer_seq[2] = {0, 0};
   };
 
   // pipeline stages (called youngest-stage-last each cycle)

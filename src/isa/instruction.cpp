@@ -505,7 +505,9 @@ Word encode(const Instr& instr) {
 
 std::string disassemble(const Instr& in) {
   std::ostringstream os;
-  auto r = [](u8 reg) { return "r" + std::to_string(reg); };
+  // Appending (rather than "r" + std::string) keeps gcc 12's -O3 -Wrestrict
+  // false positive in basic_string::insert out of the build.
+  auto r = [](u8 reg) { return std::string("r").append(std::to_string(reg)); };
   if (in.op_class() == OpClass::kNop && in.op == Op::kSll) return "nop";
   os << op_name(in.op);
   switch (in.op_class()) {

@@ -124,22 +124,25 @@ enum class ModuleId : u8 {
 inline constexpr unsigned kNumModuleIds = 6;
 
 /// Fully decoded instruction.  The raw encoding is kept because the ICM
-/// compares instruction binaries bit-for-bit.
+/// compares instruction binaries bit-for-bit.  Fields are ordered by
+/// alignment and the tail padding is a field, because snapshots copy
+/// instructions (inside pipeline and framework state) as raw bytes.
 struct Instr {
   Word raw = 0;
+  i32 imm = 0;     // sign-extended I-type immediate
+  u32 target = 0;  // J-type word target
   Op op = Op::kInvalid;
   u8 rd = 0;
   u8 rs = 0;
   u8 rt = 0;
   u8 shamt = 0;
-  i32 imm = 0;     // sign-extended I-type immediate
-  u32 target = 0;  // J-type word target
 
   // CHK fields (valid when op == kChk)
   ModuleId chk_module = ModuleId::kFramework;
   bool chk_blocking = false;
   u8 chk_op = 0;     // module-specific operation selector (5 bits)
   u16 chk_imm = 0;   // config options (12 bits)
+  u16 pad = 0;
 
   OpClass op_class() const;
 

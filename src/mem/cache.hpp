@@ -77,9 +77,12 @@ class Cache : public MemLevel {
   }
 
  private:
+  // Snapshots copy lines as raw bytes, so the padding is an explicit field
+  // and every byte has a defined value.
   struct Line {
     bool valid = false;
     bool dirty = false;
+    u16 pad = 0;
     u32 tag = 0;
     u64 lru = 0;  // last-touch stamp
   };

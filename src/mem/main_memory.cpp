@@ -6,17 +6,26 @@
 namespace rse::mem {
 
 u8* MainMemory::page_ptr(Addr addr) {
-  auto& slot = pages_[page_of(addr)];
-  if (!slot) {
-    slot = std::make_unique<u8[]>(kPageBytes);
-    std::memset(slot.get(), 0, kPageBytes);
+  std::unique_ptr<Leaf>& leaf = dir_[addr >> kDirShift];
+  if (!leaf) leaf = std::make_unique<Leaf>();
+  std::unique_ptr<u8[]>& page = (*leaf)[page_of(addr) & (kLeafPages - 1)];
+  if (!page) {
+    page = std::make_unique<u8[]>(kPageBytes);  // value-initialized: zeroed
+    ++pages_touched_;
   }
-  return slot.get();
+  return page.get();
 }
 
-const u8* MainMemory::page_ptr_or_null(Addr addr) const {
-  auto it = pages_.find(page_of(addr));
-  return it == pages_.end() ? nullptr : it->second.get();
+std::vector<u32> MainMemory::page_numbers() const {
+  std::vector<u32> pages;
+  pages.reserve(pages_touched_);
+  for (u32 d = 0; d < dir_.size(); ++d) {
+    if (!dir_[d]) continue;
+    for (u32 i = 0; i < kLeafPages; ++i) {
+      if ((*dir_[d])[i]) pages.push_back((d << kLeafBits) | i);
+    }
+  }
+  return pages;
 }
 
 u8 MainMemory::read_u8(Addr addr) const {

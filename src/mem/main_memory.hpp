@@ -1,12 +1,15 @@
 // Functional main memory: a sparse, page-granular byte store for the guest's
 // 32-bit address space.  Timing is modeled separately (BusArbiter / Cache);
 // this class answers "what value lives at address A" only.
+//
+// Pages are found through a flat two-level table (1024 directory slots of
+// 1024 pages each), so every fetch and load costs two indexed loads, no
+// hashing; leaves and pages are allocated on first touch.
 #pragma once
 
-#include <algorithm>
+#include <array>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -36,7 +39,7 @@ class MainMemory {
   void write_block(Addr addr, const u8* data, u32 count);
 
   /// Host pointer to the 4 KB page containing `addr` (allocating it if
-  /// untouched).  Pages live behind unique_ptr, so the pointer stays valid
+  /// untouched).  Pages are separate heap blocks, so the pointer stays valid
   /// across later allocations — the contract the exec/ direct-memory fast
   /// path depends on.  Accesses through it bypass nothing semantically:
   /// this is the same backing store read_u8/write_u32 use.
@@ -48,16 +51,10 @@ class MainMemory {
   void restore_page(u32 page, const std::vector<u8>& bytes);
 
   /// Number of distinct pages touched so far.
-  std::size_t pages_touched() const { return pages_.size(); }
+  std::size_t pages_touched() const { return pages_touched_; }
 
   /// Sorted page numbers of every touched page.
-  std::vector<u32> page_numbers() const {
-    std::vector<u32> pages;
-    pages.reserve(pages_.size());
-    for (const auto& [page, data] : pages_) pages.push_back(page);
-    std::sort(pages.begin(), pages.end());
-    return pages;
-  }
+  std::vector<u32> page_numbers() const;
 
   /// Snapshot hook: the byte image is the sorted set of touched pages.  A
   /// restore drops every existing page first, so the restored store is
@@ -70,10 +67,11 @@ class MainMemory {
       ar.raw(&count, sizeof count);
       for (u32 page : pages) {
         ar.raw(&page, sizeof page);
-        ar.raw(pages_.at(page).get(), kPageBytes);
+        ar.raw(page_ptr_or_null(page_base(page)), kPageBytes);
       }
     } else {
-      pages_.clear();
+      for (std::unique_ptr<Leaf>& leaf : dir_) leaf.reset();
+      pages_touched_ = 0;
       u64 count = 0;
       ar.raw(&count, sizeof count);
       for (u64 i = 0; i < count; ++i) {
@@ -85,11 +83,19 @@ class MainMemory {
   }
 
  private:
-  u8* page_ptr(Addr addr);
-  const u8* page_ptr_or_null(Addr addr) const;
+  static constexpr u32 kLeafBits = 10;  // page-number bits resolved by a leaf
+  static constexpr u32 kLeafPages = 1u << kLeafBits;
+  static constexpr u32 kDirShift = kPageShift + kLeafBits;
+  using Leaf = std::array<std::unique_ptr<u8[]>, kLeafPages>;
 
-  // unique_ptr to fixed arrays keeps page data stable across rehashing.
-  std::unordered_map<u32, std::unique_ptr<u8[]>> pages_;
+  u8* page_ptr(Addr addr);
+  const u8* page_ptr_or_null(Addr addr) const {
+    const Leaf* leaf = dir_[addr >> kDirShift].get();
+    return leaf != nullptr ? (*leaf)[page_of(addr) & (kLeafPages - 1)].get() : nullptr;
+  }
+
+  std::array<std::unique_ptr<Leaf>, (1u << (32 - kDirShift))> dir_;
+  std::size_t pages_touched_ = 0;
 };
 
 }  // namespace rse::mem

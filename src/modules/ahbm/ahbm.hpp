@@ -52,6 +52,9 @@ class AhbmModule : public engine::Module {
 
   void set_hang_handler(HangHandler handler) { on_hang_ = std::move(handler); }
 
+  engine::HandlerSet handlers() const override {
+    return engine::kHandleDispatch | engine::kHandleTick;
+  }
   void on_dispatch(const engine::DispatchInfo& info, Cycle now) override;
   void tick(Cycle now) override;
   void reset() override;
@@ -89,6 +92,21 @@ class AhbmModule : public engine::Module {
     double dev_gap = 0;
     bool seeded = false;
     bool hung = false;
+
+    /// Field by field, so the padding never reaches the archive.
+    template <class Ar>
+    void serialize_state(Ar& ar) {
+      ar.field(used);
+      ar.field(entity);
+      ar.field(counter);
+      ar.field(sampled_counter);
+      ar.field(last_change);
+      ar.field(timeout);
+      ar.field(mean_gap);
+      ar.field(dev_gap);
+      ar.field(seeded);
+      ar.field(hung);
+    }
   };
 
   Slot* find(u32 entity);

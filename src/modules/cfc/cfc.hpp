@@ -77,6 +77,9 @@ class CfcModule : public engine::Module {
   void set_successor_table(CfcSuccessorTable table) { successors_ = std::move(table); }
   bool has_successor_table() const { return !successors_.empty(); }
 
+  engine::HandlerSet handlers() const override {
+    return engine::kHandleCommit;
+  }
   void on_commit(const engine::CommitInfo& info, Cycle now) override;
   // Uniform module-reset semantics: dynamic state and statistics clear;
   // load-time configuration (text range, successor table) survives.

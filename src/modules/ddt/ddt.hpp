@@ -118,6 +118,9 @@ class DdtModule : public engine::Module {
   bool has_footprint() const { return !footprint_.empty(); }
   const DdtFootprint& footprint() const { return footprint_; }
 
+  engine::HandlerSet handlers() const override {
+    return engine::kHandleDispatch | engine::kHandleCommit | engine::kHandleStoreCommit;
+  }
   void on_dispatch(const engine::DispatchInfo& info, Cycle now) override;
   void on_commit(const engine::CommitInfo& info, Cycle now) override;
   Cycle on_store_commit(const engine::CommitInfo& info, Cycle now) override;
@@ -161,11 +164,12 @@ class DdtModule : public engine::Module {
   }
 
  private:
-  struct PstEntry {
+  struct PstEntry {  // raw-serialized: the padding is a field
     ThreadId read_owner = kNoThread;
     ThreadId write_owner = kNoThread;
     u64 lru = 0;
     bool prereserved = false;  // allocated from the static footprint, untouched
+    u8 pad[7] = {};
   };
 
   PstEntry& pst_lookup(u32 page);

@@ -7,6 +7,7 @@ namespace rse::modules {
 IcmModule::IcmModule(engine::Framework& framework, IcmConfig config)
     : Module(framework), config_(config) {
   cache_.reserve(config_.cache_entries);
+  cache_index_.reserve(config_.cache_entries);
   mau_buffer_.resize(static_cast<std::size_t>(config_.fetch_block_words) * 4);
 }
 
@@ -27,34 +28,40 @@ void IcmModule::clear_checker_memory() {
   checker_to_pc_.clear();
   checker_next_ = 0;
   cache_.clear();
+  cache_index_.clear();
 }
 
 bool IcmModule::cache_lookup(Addr pc, Word* out) {
-  for (CacheEntry& entry : cache_) {
-    if (entry.pc == pc) {
-      entry.lru = ++cache_stamp_;
-      *out = entry.word;
-      return true;
-    }
-  }
-  return false;
+  const auto it = cache_index_.find(pc);
+  if (it == cache_index_.end()) return false;
+  CacheEntry& entry = cache_[it->second];
+  entry.lru = ++cache_stamp_;
+  *out = entry.word;
+  return true;
 }
 
 void IcmModule::cache_insert(Addr pc, Word word) {
-  for (CacheEntry& entry : cache_) {
-    if (entry.pc == pc) {
-      entry.word = word;
-      entry.lru = ++cache_stamp_;
-      return;
-    }
+  if (const auto it = cache_index_.find(pc); it != cache_index_.end()) {
+    CacheEntry& entry = cache_[it->second];
+    entry.word = word;
+    entry.lru = ++cache_stamp_;
+    return;
   }
   if (cache_.size() < config_.cache_entries) {
+    cache_index_.emplace(pc, static_cast<u32>(cache_.size()));
     cache_.push_back({pc, word, ++cache_stamp_});
     return;
   }
   auto victim = std::min_element(cache_.begin(), cache_.end(),
                                  [](const CacheEntry& a, const CacheEntry& b) { return a.lru < b.lru; });
+  cache_index_.erase(victim->pc);
+  cache_index_.emplace(pc, static_cast<u32>(victim - cache_.begin()));
   *victim = {pc, word, ++cache_stamp_};
+}
+
+void IcmModule::rebuild_cache_index() {
+  cache_index_.clear();
+  for (u32 i = 0; i < cache_.size(); ++i) cache_index_.emplace(cache_[i].pc, i);
 }
 
 void IcmModule::on_dispatch(const engine::DispatchInfo& info, Cycle now) {
@@ -171,6 +178,7 @@ void IcmModule::tick(Cycle now) {
 
 void IcmModule::on_squash(const engine::InstrTag& tag, Cycle now) {
   (void)now;
+  if (pending_.empty()) return;
   // Drop any pending check tied to the squashed CHECK or checked instruction.
   pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
                                 [&tag](const PendingCheck& check) {

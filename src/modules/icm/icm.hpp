@@ -64,6 +64,9 @@ class IcmModule : public engine::Module {
   void clear_checker_memory();
 
   // ---- module behaviour ----
+  engine::HandlerSet handlers() const override {
+    return engine::kHandleDispatch | engine::kHandleSquash | engine::kHandleTick;
+  }
   void on_dispatch(const engine::DispatchInfo& info, Cycle now) override;
   void on_squash(const engine::InstrTag& tag, Cycle now) override;
   void tick(Cycle now) override;
@@ -71,7 +74,8 @@ class IcmModule : public engine::Module {
 
   const IcmStats& stats() const { return stats_; }
 
-  /// Snapshot hook.  Requires quiescence (no MAU request outstanding, i.e.
+  /// Snapshot hook (the cache's pc index is derived and rebuilt on restore).
+  /// Requires quiescence (no MAU request outstanding, i.e.
   /// !mau_busy_) at capture: a kMemWait check's completion callback cannot be
   /// serialized.  CheckerMemory layout is also captured so a restored module
   /// matches even if registration order ever diverged from the fresh load.
@@ -84,6 +88,7 @@ class IcmModule : public engine::Module {
     ar.field(checker_next_);
     ar.field(cache_);
     ar.field(cache_stamp_);
+    if constexpr (!Ar::kIsWriter) rebuild_cache_index();
     ar.field(pending_);
     ar.field(mau_buffer_);
     ar.field(mau_busy_);
@@ -105,14 +110,16 @@ class IcmModule : public engine::Module {
     bool copy_ready = false;
     bool mismatch = false;
     bool was_hit = false;
+    // u8-sized, so the raw-serialized struct has no padding
+    enum class State : u8 { kAwaitInstr, kLookup, kMemWait, kDone } state = State::kAwaitInstr;
     Cycle acquired_at = 0;
     Cycle write_at = 0;  // when the result reaches the IOQ
-    enum class State { kAwaitInstr, kLookup, kMemWait, kDone } state = State::kAwaitInstr;
   };
 
   /// Fully-associative LRU cache of checker-memory words, keyed by PC.
   bool cache_lookup(Addr pc, Word* out);
   void cache_insert(Addr pc, Word word);
+  void rebuild_cache_index();
   void start_mem_request(PendingCheck& check, Cycle now);
 
   IcmConfig config_;
@@ -130,6 +137,7 @@ class IcmModule : public engine::Module {
     u64 lru;
   };
   std::vector<CacheEntry> cache_;
+  std::unordered_map<Addr, u32> cache_index_;  // pc -> position in cache_
   u64 cache_stamp_ = 0;
 
   std::deque<PendingCheck> pending_;

@@ -67,6 +67,9 @@ class MlrModule : public engine::Module {
   isa::ModuleId id() const override { return isa::ModuleId::kMlr; }
   const char* name() const override { return "MLR"; }
 
+  engine::HandlerSet handlers() const override {
+    return engine::kHandleDispatch | engine::kHandleSquash | engine::kHandleTick;
+  }
   void on_dispatch(const engine::DispatchInfo& info, Cycle now) override;
   void on_squash(const engine::InstrTag& tag, Cycle now) override;
   void tick(Cycle now) override;

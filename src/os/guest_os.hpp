@@ -126,6 +126,7 @@ struct RecoveryReport {
 /// execution timelines).
 struct RunSlice {
   ThreadId thread = kNoThread;
+  u32 pad = 0;  // explicit, since snapshots copy slices as raw bytes
   Cycle from = 0;
   Cycle to = 0;
 };
@@ -243,13 +244,14 @@ class GuestOs : public cpu::OsClient {
   }
 
  private:
-  struct Thread {
+  struct Thread {  // raw-serialized: ordered by alignment, padding as a field
     ThreadId id = 0;
     cpu::ThreadContext ctx;
-    ThreadState state = ThreadState::kReady;
-    Cycle wake_at = 0;        // kBlockedIo
     ThreadId join_target = kNoThread;
     Addr stack_top = 0;
+    Cycle wake_at = 0;        // kBlockedIo
+    ThreadState state = ThreadState::kReady;
+    u8 pad[7] = {};
   };
 
   void scheduler_tick(Cycle now);

@@ -13,11 +13,11 @@
 
 namespace rse::os {
 
-struct NetworkConfig {
+struct NetworkConfig {  // raw-serialized: ordered by alignment, no padding
   u32 total_requests = 100;
+  u32 jitter_pct = 40;            // +/- jitter applied to both
   Cycle interarrival = 1500;      // mean gap between request arrivals
   Cycle io_latency_mean = 9000;   // mean backend wait per kNetIo call
-  u32 jitter_pct = 40;            // +/- jitter applied to both
   u64 seed = 7;
 };
 

@@ -7,6 +7,9 @@
 // commit, the simulator pairs it with a monotonically increasing sequence
 // number; hardware needs no such disambiguation since queue entries are
 // freed in lock step, but the model asserts it.
+//
+// Snapshots copy these payloads as raw bytes, so each spells out its padding
+// as a zero-initialized `pad` field: every byte of the archive is defined.
 #pragma once
 
 #include "common/types.hpp"
@@ -16,7 +19,11 @@ namespace rse::engine {
 
 struct InstrTag {
   u32 slot = 0;  // RUU / IOQ / input-queue entry index
+  u32 pad = 0;
   u64 seq = 0;   // global dispatch sequence number
+
+  constexpr InstrTag() = default;
+  constexpr InstrTag(u32 slot_index, u64 sequence) : slot(slot_index), seq(sequence) {}
 
   friend bool operator==(const InstrTag&, const InstrTag&) = default;
 };
@@ -32,6 +39,7 @@ struct DispatchInfo {
   Word operands[2] = {0, 0};  // register operand values (Regfile_Data)
   u8 operand_count = 0;
   bool wrong_path = false;  // fetched down a mispredicted path
+  u16 pad = 0;
 };
 
 /// Payload for Execute_Out: ALU result or effective address.
@@ -40,12 +48,14 @@ struct ExecuteInfo {
   Word result = 0;
   Addr eff_addr = 0;
   bool is_mem = false;
+  u8 pad[7] = {};
 };
 
 /// Payload for Memory_Out: value loaded from memory.
 struct MemoryInfo {
   InstrTag tag;
   Word value = 0;
+  u32 pad = 0;
 };
 
 /// Payload for Commit_Out.  Carries the data an asynchronous module logs as

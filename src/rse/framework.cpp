@@ -1,6 +1,7 @@
 #include "rse/framework.hpp"
 
 #include <cassert>
+#include <string>
 
 namespace rse::engine {
 
@@ -13,9 +14,26 @@ Framework::Framework(mem::MainMemory& memory, mem::BusArbiter& bus, u32 ruu_entr
       free_high_since_(ruu_entries, 0) {}
 
 void Framework::add_module(std::unique_ptr<Module> module) {
+  // Routing is fixed once events flow: every pipeline event begins with its
+  // instruction's dispatch (or, in unit tests, a bare commit or squash).
+  if (stats_.dispatches_seen != 0 || stats_.commits_seen != 0 || stats_.squashes_seen != 0 ||
+      !pending_.empty()) {
+    throw SimError(std::string("Framework::add_module: module ") + module->name() +
+                   " registered after the first pipeline event");
+  }
   const auto id = static_cast<std::size_t>(module->id());
   assert(id < by_id_.size() && by_id_[id] == nullptr);
   by_id_[id] = module.get();
+  const HandlerSet handlers = module->handlers();
+  auto route = [&](Handler handler, std::vector<Module*>& list) {
+    if (handlers & handler) list.push_back(module.get());
+  };
+  route(kHandleTick, tick_modules_);
+  route(kHandleDispatch, dispatch_modules_);
+  route(kHandleExecute, execute_modules_);
+  route(kHandleCommit, commit_modules_);
+  route(kHandleStoreCommit, store_commit_modules_);
+  route(kHandleSquash, squash_modules_);
   modules_.push_back(std::move(module));
 }
 
@@ -45,17 +63,17 @@ void Framework::on_dispatch(const DispatchInfo& info, Cycle now) {
   ioq_.allocate(info.tag, pending, is_chk ? info.instr.chk_module : isa::ModuleId::kFramework,
                 now);
   queues_.fetch_out.latch(info.tag.slot, info, info.tag.seq, now);
-  pending_.push_back({DispatchEvent{info}, now + 1});
+  if (!dispatch_modules_.empty()) pending_.push_back({info, now + 1});
 }
 
 void Framework::on_execute(const ExecuteInfo& info, Cycle now) {
   queues_.execute_out.latch(info.tag.slot, info, info.tag.seq, now);
-  pending_.push_back({ExecuteEvent{info}, now + 1});
+  if (!execute_modules_.empty()) pending_.push_back({info, now + 1});
 }
 
 void Framework::on_mem_load(const MemoryInfo& info, Cycle now) {
+  // Memory_Out is latched for module reads; no module handler consumes it.
   queues_.memory_out.latch(info.tag.slot, info, info.tag.seq, now);
-  pending_.push_back({MemoryEvent{info}, now + 1});
 }
 
 Cycle Framework::on_commit(const CommitInfo& info, Cycle now) {
@@ -65,11 +83,11 @@ Cycle Framework::on_commit(const CommitInfo& info, Cycle now) {
   if (is_store) {
     // SavePage-style checks must intercept the store before it writes
     // memory, so store commits are delivered synchronously.
-    for (auto& module : modules_) {
+    for (Module* module : store_commit_modules_) {
       if (module->enabled()) stall += module->on_store_commit(info, now);
     }
   }
-  pending_.push_back({CommitEvent{info}, now + 1});
+  if (!commit_modules_.empty()) pending_.push_back({info, now + 1});
   // The IOQ entry and queue registers are freed as the commit signal removes
   // the instruction's data from the input queues (section 3.1).
   ioq_.free(info.tag);
@@ -85,7 +103,7 @@ void Framework::on_squash(const InstrTag& tag, Cycle now) {
   queues_.fetch_out.invalidate(tag.slot, tag.seq);
   queues_.execute_out.invalidate(tag.slot, tag.seq);
   queues_.memory_out.invalidate(tag.slot, tag.seq);
-  pending_.push_back({SquashEvent{tag}, now + 1});
+  if (!squash_modules_.empty()) pending_.push_back({tag, now + 1});
 }
 
 Ioq::CheckBits Framework::check_bits(u32 slot) const {
@@ -119,7 +137,10 @@ void Framework::on_check_error(u32 slot, Cycle now) {
   if (entry.allocated) {
     ++stats_.errors_by_module[static_cast<unsigned>(entry.module)];
   }
-  if (!safe_mode_ && slot < alarm_counts_.size()) ++alarm_counts_[slot];
+  if (!safe_mode_ && slot < alarm_counts_.size() &&
+      ++alarm_counts_[slot] > selfcheck_.alarm_threshold) {
+    alarm_over_ = true;
+  }
 }
 
 void Framework::handle_frame_chk(const isa::Instr& instr, Cycle now) {
@@ -138,35 +159,35 @@ void Framework::handle_frame_chk(const isa::Instr& instr, Cycle now) {
   }
 }
 
-void Framework::deliver(const Event& event, Cycle now) {
-  if (const auto* d = std::get_if<DispatchEvent>(&event)) {
-    for (auto& module : modules_) {
-      if (module->enabled()) module->on_dispatch(d->info, now);
+void Framework::deliver(const PendingEvent& pending, Cycle now) {
+  if (const auto* d = std::get_if<DispatchInfo>(&pending.event)) {
+    for (Module* module : dispatch_modules_) {
+      if (module->enabled()) module->on_dispatch(*d, now);
     }
-  } else if (const auto* e = std::get_if<ExecuteEvent>(&event)) {
-    for (auto& module : modules_) {
-      if (module->enabled()) module->on_execute(e->info, now);
+  } else if (const auto* e = std::get_if<ExecuteInfo>(&pending.event)) {
+    for (Module* module : execute_modules_) {
+      if (module->enabled()) module->on_execute(*e, now);
     }
-  } else if (const auto* m = std::get_if<MemoryEvent>(&event)) {
-    (void)m;  // Memory_Out is latched for module reads; no push handler yet.
-  } else if (const auto* c = std::get_if<CommitEvent>(&event)) {
-    for (auto& module : modules_) {
-      if (module->enabled()) module->on_commit(c->info, now);
+  } else if (const auto* c = std::get_if<CommitInfo>(&pending.event)) {
+    for (Module* module : commit_modules_) {
+      if (module->enabled()) module->on_commit(*c, now);
     }
-  } else if (const auto* s = std::get_if<SquashEvent>(&event)) {
-    for (auto& module : modules_) {
-      if (module->enabled()) module->on_squash(s->tag, now);
+  } else if (const auto* tag = std::get_if<InstrTag>(&pending.event)) {
+    for (Module* module : squash_modules_) {
+      if (module->enabled()) module->on_squash(*tag, now);
     }
   }
 }
 
 void Framework::tick(Cycle now) {
-  while (!pending_.empty() && pending_.front().visible_from <= now) {
-    deliver(pending_.front().event, now);
-    pending_.pop_front();
+  std::size_t visible = 0;
+  while (visible < pending_.size() && pending_[visible].visible_from <= now) {
+    deliver(pending_[visible], now);
+    ++visible;
   }
+  pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(visible));
   mau_.tick(now);
-  for (auto& module : modules_) {
+  for (Module* module : tick_modules_) {
     if (module->enabled()) module->tick(now);
   }
   if (selfcheck_.enabled && !safe_mode_) run_selfcheck(now);
@@ -177,7 +198,16 @@ void Framework::run_selfcheck(Cycle now) {
   if (now - alarm_window_start_ > selfcheck_.watchdog_timeout) {
     alarm_window_start_ = now;
     for (u32& count : alarm_counts_) count = 0;
+    alarm_over_ = false;
   }
+  // Gate: outside these conditions the scan below would find nothing to
+  // trip on and write only zeros over zeros (docs/architecture.md).
+  if (!scan_forced_ && !alarm_over_ && !free_high_armed_ &&
+      ioq_.injected_fault() == IoqStuckFault::kNone &&
+      !ioq_.wait_may_exceed(now, selfcheck_.watchdog_timeout)) {
+    return;
+  }
+  bool free_high_armed = false;
   for (u32 slot = 0; slot < ioq_.size(); ++slot) {
     if (alarm_counts_[slot] > selfcheck_.alarm_threshold) {
       trip_selfcheck(SelfCheckVerdict::kFalseAlarmStorm, now);
@@ -204,7 +234,13 @@ void Framework::run_selfcheck(Cycle now) {
     } else {
       free_high_since_[slot] = 0;
     }
+    if (free_high_since_[slot] != 0) free_high_armed = true;
   }
+  // No trip: every alarm count is at or below the threshold.
+  scan_forced_ = false;
+  alarm_over_ = false;
+  free_high_armed_ = free_high_armed;
+  ioq_.tighten_awaiting_bounds();
 }
 
 void Framework::trip_selfcheck(SelfCheckVerdict verdict, Cycle now) {
@@ -226,6 +262,7 @@ void Framework::trip_selfcheck(SelfCheckVerdict verdict, Cycle now) {
 
 void Framework::recouple() {
   safe_mode_ = false;
+  scan_forced_ = true;
   verdict_ = SelfCheckVerdict::kOk;
   alarm_window_start_ = 0;
   for (u32& count : alarm_counts_) count = 0;

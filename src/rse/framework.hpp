@@ -7,15 +7,21 @@
 // machine ticks the framework once per cycle after the core.  Events pushed
 // by the core in cycle N become visible to modules in cycle N+1 (the input
 // latch of Table 3).
+//
+// Host cost follows what the modules consume: each event kind (and the
+// tick) goes only to the modules that declared its handler, an event kind
+// that no registered module handles is never queued, and the self-check's
+// full IOQ scan runs only in cycles where it could trip or change state
+// (docs/architecture.md, "Event routing and the self-check gate").
 #pragma once
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <variant>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/types.hpp"
 #include "isa/instruction.hpp"
 #include "mem/bus.hpp"
@@ -69,6 +75,10 @@ class Framework {
   Framework(mem::MainMemory& memory, mem::BusArbiter& bus, u32 ruu_entries);
 
   // ---- construction-time wiring ----
+  /// Register a module and route it the handlers it declares.  Every module
+  /// must be registered before the first pipeline event reaches the
+  /// framework (events already queued were filtered by the routing of their
+  /// time); a late registration throws SimError.
   void add_module(std::unique_ptr<Module> module);
   Module* module(isa::ModuleId id) const;
   Mau& mau() { return mau_; }
@@ -80,7 +90,10 @@ class Framework {
   void set_selfcheck_observer(std::function<void(SelfCheckVerdict, Cycle)> observer) {
     selfcheck_observer_ = std::move(observer);
   }
-  void set_selfcheck_config(SelfCheckConfig config) { selfcheck_ = config; }
+  void set_selfcheck_config(SelfCheckConfig config) {
+    selfcheck_ = config;
+    scan_forced_ = true;
+  }
 
   // ---- pipeline-facing interface ----
   void on_dispatch(const DispatchInfo& info, Cycle now);
@@ -128,7 +141,9 @@ class Framework {
   /// self-check state.  Module-internal state is serialized separately (the
   /// machine walks its typed module pointers); the self-check observer and
   /// module wiring are reconstructed by the normal construction path.
-  /// Requires mau().idle() at capture time — see Mau::serialize_state.
+  /// Requires mau().idle() at capture time — see Mau::serialize_state.  The
+  /// self-check gate is derived state: a restore forces one full scan, which
+  /// rebuilds it.
   template <class Ar>
   void serialize_state(Ar& ar) {
     ar.marker(0x46524D57u);  // "FRMW"
@@ -142,28 +157,21 @@ class Framework {
     ar.field(alarm_window_start_);
     ar.field(free_high_since_);
     ar.field(stats_);
+    if constexpr (!Ar::kIsWriter) scan_forced_ = true;
   }
 
  private:
-  struct DispatchEvent {
-    DispatchInfo info;
-  };
-  struct ExecuteEvent {
-    ExecuteInfo info;
-  };
-  struct MemoryEvent {
-    MemoryInfo info;
-  };
-  struct CommitEvent {
-    CommitInfo info;
-  };
-  struct SquashEvent {
-    InstrTag tag;
-  };
-  using Event =
-      std::variant<DispatchEvent, ExecuteEvent, MemoryEvent, CommitEvent, SquashEvent>;
+  /// A latched event awaiting delivery; the payload's alternative names the
+  /// handler (a bare InstrTag is a squash).
+  struct PendingEvent {
+    std::variant<DispatchInfo, ExecuteInfo, CommitInfo, InstrTag> event;
+    Cycle visible_from = 0;
 
-  void deliver(const Event& event, Cycle now);
+    template <class Ar>
+    void serialize_state(Ar& ar);
+  };
+
+  void deliver(const PendingEvent& pending, Cycle now);
   void handle_frame_chk(const isa::Instr& instr, Cycle now);
   void run_selfcheck(Cycle now);
   void trip_selfcheck(SelfCheckVerdict verdict, Cycle now);
@@ -175,11 +183,18 @@ class Framework {
   std::vector<std::unique_ptr<Module>> modules_;
   std::array<Module*, isa::kNumModuleIds> by_id_{};
 
-  struct PendingEvent {
-    Event event;
-    Cycle visible_from;
-  };
-  std::deque<PendingEvent> pending_;
+  // Handler routing, in registration order: the modules that declared each
+  // handler (whether enabled is checked at delivery).
+  std::vector<Module*> tick_modules_;
+  std::vector<Module*> dispatch_modules_;
+  std::vector<Module*> execute_modules_;
+  std::vector<Module*> commit_modules_;
+  std::vector<Module*> store_commit_modules_;
+  std::vector<Module*> squash_modules_;
+
+  // Events latched this cycle and last cycle, oldest first.  The vector is
+  // reused, so steady-state delivery allocates nothing.
+  std::vector<PendingEvent> pending_;
 
   // self-checking state
   SelfCheckConfig selfcheck_;
@@ -190,7 +205,31 @@ class Framework {
   Cycle alarm_window_start_ = 0;
   std::vector<Cycle> free_high_since_;  // per-slot: first cycle a free entry read as 1
 
+  // Self-check gate (derived, never serialized).  The full scan runs only
+  // when one of these, or the IOQ's stuck fault or awaiting bounds, says it
+  // could trip or change state; each full scan recomputes them.
+  bool scan_forced_ = true;       // config change, recouple or restore
+  bool alarm_over_ = false;       // some alarm count passed the threshold
+  bool free_high_armed_ = false;  // some free_high_since_ entry is set
+
   FrameworkStats stats_;
 };
+
+template <class Ar>
+void Framework::PendingEvent::serialize_state(Ar& ar) {
+  u8 kind = static_cast<u8>(event.index());
+  ar.field(kind);
+  ar.field(visible_from);
+  if constexpr (!Ar::kIsWriter) {
+    switch (kind) {
+      case 0: event.emplace<0>(); break;
+      case 1: event.emplace<1>(); break;
+      case 2: event.emplace<2>(); break;
+      case 3: event.emplace<3>(); break;
+      default: throw SimError("snapshot restore: bad framework event kind");
+    }
+  }
+  std::visit([&ar](auto& payload) { ar.field(payload); }, event);
+}
 
 }  // namespace rse::engine

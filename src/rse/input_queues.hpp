@@ -53,11 +53,12 @@ class LatchBank {
   }
 
  private:
-  struct Slot {
+  struct Slot {  // raw-serialized: the padding is a field
     Payload payload{};
     u64 seq = 0;
     Cycle visible_from = 0;
     bool valid = false;
+    u8 pad[7] = {};
   };
   std::vector<Slot> slots_;
 };

@@ -12,6 +12,7 @@
 // self-checking experiments of Table 2.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "common/types.hpp"
@@ -31,16 +32,19 @@ enum class IoqStuckFault : u8 {
 
 class Ioq {
  public:
+  // Ordered by alignment, with the padding as a field: snapshots copy
+  // entries as raw bytes.
   struct Entry {
+    InstrTag tag;
+    // transition bookkeeping for the self-checking watchdog
+    Cycle allocated_at = 0;
+    Cycle last_valid_set = 0;
     bool allocated = false;
     bool pending_check = false;  // a module owes this entry a result
     bool check_valid = false;
     bool check = false;
-    InstrTag tag;
     isa::ModuleId module = isa::ModuleId::kFramework;
-    // transition bookkeeping for the self-checking watchdog
-    Cycle allocated_at = 0;
-    Cycle last_valid_set = 0;
+    u8 pad[3] = {};
   };
 
   explicit Ioq(u32 entries) : entries_(entries) {}
@@ -62,6 +66,7 @@ class Ioq {
     e.check = false;
     e.allocated_at = now;
     e.last_valid_set = now;
+    if (pending_check) widen_awaiting_bounds(now);
   }
 
   /// Module writes its result.  In safe (decoupled) mode the framework
@@ -85,6 +90,7 @@ class Ioq {
 
   void free_all() {
     for (Entry& e : entries_) e = Entry{};
+    awaiting_ = false;
   }
 
   /// The (checkValid, check) pair as seen by the commit unit, i.e. after any
@@ -116,6 +122,24 @@ class Ioq {
 
   const Entry& entry(u32 slot) const { return entries_[slot]; }
 
+  /// Whether an entry still awaiting its module result (pending_check and
+  /// checkValid=0) might have waited longer than `timeout` at `now`.  Answers
+  /// from bounds on such entries' allocated_at that every allocation widens
+  /// and tighten_awaiting_bounds() makes exact, so a false answer is exact
+  /// and a true one may be conservative.  The self-check reads this instead
+  /// of scanning every entry each cycle.
+  bool wait_may_exceed(Cycle now, Cycle timeout) const {
+    return awaiting_ && (now - awaiting_lo_ > timeout || now < awaiting_hi_);
+  }
+
+  /// Recompute the awaiting bounds from the entries.
+  void tighten_awaiting_bounds() {
+    awaiting_ = false;
+    for (const Entry& e : entries_) {
+      if (e.allocated && e.pending_check && !e.check_valid) widen_awaiting_bounds(e.allocated_at);
+    }
+  }
+
   void inject_stuck_fault(u32 slot, IoqStuckFault fault) {
     fault_slot_ = slot;
     fault_ = fault;
@@ -123,18 +147,29 @@ class Ioq {
   IoqStuckFault injected_fault() const { return fault_; }
   u32 injected_fault_slot() const { return fault_slot_; }
 
-  /// Snapshot hook: every entry plus the injected stuck-at fault state.
+  /// Snapshot hook: every entry plus the injected stuck-at fault state.  The
+  /// awaiting bounds are derived and rebuilt from the entries on restore.
   template <class Ar>
   void serialize_state(Ar& ar) {
     ar.field(entries_);
     ar.field(fault_);
     ar.field(fault_slot_);
+    if constexpr (!Ar::kIsWriter) tighten_awaiting_bounds();
   }
 
  private:
+  void widen_awaiting_bounds(Cycle allocated_at) {
+    awaiting_lo_ = awaiting_ ? std::min(awaiting_lo_, allocated_at) : allocated_at;
+    awaiting_hi_ = awaiting_ ? std::max(awaiting_hi_, allocated_at) : allocated_at;
+    awaiting_ = true;
+  }
+
   std::vector<Entry> entries_;
   IoqStuckFault fault_ = IoqStuckFault::kNone;
   u32 fault_slot_ = 0;
+  bool awaiting_ = false;
+  Cycle awaiting_lo_ = 0;
+  Cycle awaiting_hi_ = 0;
 };
 
 }  // namespace rse::engine

@@ -7,6 +7,10 @@
 // modules hold their CHECK's IOQ entry at checkValid=0 until the check
 // completes; asynchronous modules set checkValid immediately and log
 // permanent state on the commit signal.
+//
+// A module declares the handlers it implements (`handlers()`); the framework
+// routes each event kind, and the per-cycle tick, only to the modules that
+// declared it.
 #pragma once
 
 #include "common/types.hpp"
@@ -26,6 +30,19 @@ enum class ModuleFaultMode : u8 {
   kFalseNegative,  // the module always declares "no error"
 };
 
+/// One bit per event handler of Module; a module's handlers() is their union.
+enum Handler : u8 {
+  kHandleTick = 1u << 0,
+  kHandleDispatch = 1u << 1,
+  kHandleExecute = 1u << 2,
+  kHandleCommit = 1u << 3,
+  kHandleStoreCommit = 1u << 4,
+  kHandleSquash = 1u << 5,
+};
+using HandlerSet = u8;
+inline constexpr HandlerSet kAllHandlers = kHandleTick | kHandleDispatch | kHandleExecute |
+                                           kHandleCommit | kHandleStoreCommit | kHandleSquash;
+
 class Module {
  public:
   explicit Module(Framework& framework) : fw_(&framework) {}
@@ -36,6 +53,11 @@ class Module {
 
   virtual isa::ModuleId id() const = 0;
   virtual const char* name() const = 0;
+
+  /// The handlers this module overrides.  The framework reads it once, at
+  /// add_module, and never calls a handler outside the set; a module that
+  /// does not override it receives everything.
+  virtual HandlerSet handlers() const { return kAllHandlers; }
 
   /// Advance internal pipelines/counters by one cycle.
   virtual void tick(Cycle /*now*/) {}

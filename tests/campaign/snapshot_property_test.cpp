@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <optional>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "os/guest_os.hpp"
 #include "os/machine.hpp"
 #include "os/snapshot.hpp"
+#include "workloads/workloads.hpp"
 #include "../support/random_program.hpp"
 
 using namespace rse;
@@ -214,6 +216,88 @@ TEST(SnapshotPropertyTest, CheckpointForkDigestInvariantAcrossBucketsAndFastForw
           << "buckets=" << buckets << " fast_forward=" << fast_forward;
     }
   }
+}
+
+// ---- archive determinism --------------------------------------------------
+//
+// Two identically configured machines with identical histories must
+// serialize byte-identical archives: the archive is a pure function of the
+// value state, so no padding byte or stale buffer may leak into it.
+
+struct TwinSetup {
+  os::MachineConfig machine;
+  std::string source;
+  std::optional<os::NetworkConfig> network;
+};
+
+struct Twin {
+  os::Machine machine;
+  os::GuestOs guest;
+  explicit Twin(const TwinSetup& setup, const isa::Program& program)
+      : machine(setup.machine), guest(machine) {
+    if (setup.network) guest.network().configure(*setup.network);
+    guest.load(program);
+  }
+};
+
+void expect_twins_capture_identical_bytes(const TwinSetup& setup, Cycle run_to) {
+  const isa::Program program = isa::assemble(setup.source);
+  Twin a(setup, program);
+  Twin b(setup, program);
+  auto first_difference = [](const std::vector<u8>& x, const std::vector<u8>& y) {
+    std::size_t i = 0;
+    while (i < x.size() && i < y.size() && x[i] == y[i]) ++i;
+    return i;
+  };
+  {
+    const auto snap_a = os::MachineSnapshot::capture(a.machine, a.guest);
+    const auto snap_b = os::MachineSnapshot::capture(b.machine, b.guest);
+    ASSERT_EQ(snap_a.bytes.size(), snap_b.bytes.size());
+    EXPECT_TRUE(snap_a.bytes == snap_b.bytes)
+        << "freshly loaded archives first differ at byte "
+        << first_difference(snap_a.bytes, snap_b.bytes);
+  }
+  // Run both to the same quiescent mid-run point and capture again.
+  for (Twin* t : {&a, &b}) {
+    while (!t->guest.finished() && (t->machine.now() < run_to ||
+                                    !os::MachineSnapshot::quiescent(t->machine))) {
+      t->guest.step();
+    }
+  }
+  ASSERT_EQ(a.machine.now(), b.machine.now());
+  ASSERT_FALSE(a.guest.finished()) << "run_to lies past the end of the program";
+  const auto snap_a = os::MachineSnapshot::capture(a.machine, a.guest);
+  const auto snap_b = os::MachineSnapshot::capture(b.machine, b.guest);
+  ASSERT_EQ(snap_a.bytes.size(), snap_b.bytes.size());
+  EXPECT_TRUE(snap_a.bytes == snap_b.bytes)
+      << "mid-run archives first differ at byte " << first_difference(snap_a.bytes, snap_b.bytes);
+}
+
+TEST(SnapshotDeterminism, FrameworkAndIcmTwinsCaptureIdenticalArchives) {
+  workloads::PlaceParams params;
+  params.temps = 2;
+  params.moves_per_temp = 400;
+  TwinSetup setup;
+  setup.machine.framework_present = true;
+  setup.source = workloads::instrument_checks(workloads::vpr_place_source(params));
+  expect_twins_capture_identical_bytes(setup, 40'000);
+}
+
+TEST(SnapshotDeterminism, DdtServerTwinsCaptureIdenticalArchives) {
+  workloads::ServerParams params;
+  params.threads = 4;
+  params.compute_iters = 200;
+  params.enable_ddt = true;
+  TwinSetup setup;
+  setup.machine.framework_present = true;
+  setup.source = workloads::server_source(params);
+  os::NetworkConfig net;
+  net.total_requests = 12;
+  net.interarrival = 1200;
+  net.io_latency_mean = 6000;
+  net.seed = 7;
+  setup.network = net;
+  expect_twins_capture_identical_bytes(setup, 30'000);
 }
 
 }  // namespace

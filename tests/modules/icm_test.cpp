@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "../support/sim_runner.hpp"
+#include "os/snapshot.hpp"
 
 namespace rse {
 namespace {
@@ -165,6 +166,62 @@ TEST(Icm, ManyDistinctChecksEvictLruEntries) {
   // With block fetch of 8 words the set may still fit per fetch, but some
   // re-misses must occur with only 4 cache entries.
   EXPECT_GT(stats.cache_misses, 1u);
+}
+
+TEST(Icm, SnapshotRoundTripKeepsCacheHitsAndMisses) {
+  // Fifteen distinct checked instructions through a twelve-entry cache: hits,
+  // misses and LRU evictions on both sides of the snapshot.  The restored
+  // ICM must find its cache contents through the rebuilt pc index exactly
+  // as the uninterrupted run does.
+  os::MachineConfig config = rse_machine();
+  config.icm.cache_entries = 12;
+  std::string source = ".text\nmain:\n  chk frame, 1, nblk, r0, 1\n  li t0, 0\nloop:\n";
+  for (int i = 0; i < 12; ++i) {
+    source += "  chk icm, 0, blk, r0, 0\n  addi t1, t1, " + std::to_string(i) + "\n";
+    if (i % 4 == 3) source += "  andi t3, t0, 1\n  chk icm, 0, blk, r0, 0\n  beq t3, r0, skip" +
+                              std::to_string(i) + "\n  addi t1, t1, 1\nskip" +
+                              std::to_string(i) + ":\n";
+  }
+  source += R"(  addi t0, t0, 1
+  li t2, 40
+  blt t0, t2, loop
+  move a0, t1
+  li v0, 2
+  syscall
+  li a0, 0
+  li v0, 1
+  syscall
+)";
+  testing::SimRunner reference(config);
+  reference.load_source(source);
+  reference.run();
+  const modules::IcmStats want = reference.machine().icm()->stats();
+  ASSERT_TRUE(reference.os().finished());
+  ASSERT_GT(want.cache_hits, 0u);
+  ASSERT_GT(want.cache_misses, 1u);
+
+  testing::SimRunner captured(config);
+  captured.load_source(source);
+  while (!captured.os().finished() &&
+         (captured.machine().now() < reference.cycles() / 2 ||
+          !os::MachineSnapshot::quiescent(captured.machine()))) {
+    captured.os().step();
+  }
+  ASSERT_FALSE(captured.os().finished());
+  const os::MachineSnapshot snapshot =
+      os::MachineSnapshot::capture(captured.machine(), captured.os());
+  ASSERT_GT(captured.machine().icm()->stats().cache_hits, 0u);
+
+  testing::SimRunner restored(config);
+  restored.load_source(source);
+  os::MachineSnapshot::restore(snapshot, restored.machine(), restored.os());
+  restored.run();
+  const modules::IcmStats& got = restored.machine().icm()->stats();
+  EXPECT_EQ(got.cache_hits, want.cache_hits);
+  EXPECT_EQ(got.cache_misses, want.cache_misses);
+  EXPECT_EQ(got.checks_completed, want.checks_completed);
+  EXPECT_EQ(restored.cycles(), reference.cycles());
+  EXPECT_EQ(restored.os().output(), reference.os().output());
 }
 
 }  // namespace

@@ -214,5 +214,17 @@ TEST_F(FrameworkFixture, ResetClearsModulesAndQueues) {
   EXPECT_TRUE(stub->dispatches.empty());  // pending events dropped
 }
 
+TEST_F(FrameworkFixture, ModuleRegisteredAfterTheFirstEventIsRejected) {
+  class Late : public Module {
+   public:
+    using Module::Module;
+    isa::ModuleId id() const override { return isa::ModuleId::kCfc; }
+    const char* name() const override { return "late"; }
+  };
+  fw.on_dispatch(make_dispatch(0, 1, isa::Op::kAdd), 10);
+  EXPECT_THROW(fw.add_module(std::make_unique<Late>(fw)), SimError);
+  EXPECT_EQ(fw.module(isa::ModuleId::kCfc), nullptr);
+}
+
 }  // namespace
 }  // namespace rse::engine

@@ -32,7 +32,30 @@ class RecorderModule : public Module {
   std::vector<InstrTag> squashes;
 };
 
-/// A bare machine without the GuestOs: core + framework + recorder module.
+/// Declares only on_dispatch, but would record every other handler call.
+class DispatchOnlyModule : public Module {
+ public:
+  using Module::Module;
+  isa::ModuleId id() const override { return isa::ModuleId::kMlr; }
+  const char* name() const override { return "dispatch-only"; }
+  HandlerSet handlers() const override { return kHandleDispatch; }
+
+  void on_dispatch(const DispatchInfo&, Cycle) override { ++dispatches; }
+  void on_execute(const ExecuteInfo&, Cycle) override { ++others; }
+  void on_commit(const CommitInfo&, Cycle) override { ++others; }
+  Cycle on_store_commit(const CommitInfo&, Cycle) override {
+    ++others;
+    return 0;
+  }
+  void on_squash(const InstrTag&, Cycle) override { ++others; }
+  void tick(Cycle) override { ++others; }
+
+  u64 dispatches = 0;
+  u64 others = 0;
+};
+
+/// A bare machine without the GuestOs: core + framework + recorder module
+/// (all handlers, the Module default) + a dispatch-only module.
 struct TapsFixture : ::testing::Test, cpu::OsClient {
   mem::MainMemory memory;
   mem::BusArbiter bus{mem::BusTiming{19, 3, 8}};
@@ -41,6 +64,7 @@ struct TapsFixture : ::testing::Test, cpu::OsClient {
   mem::Cache dl1{mem::CacheConfig{"dl1", 8192, 1, 32, 1}, port};
   Framework fw{memory, bus, 16};
   RecorderModule* recorder = nullptr;
+  DispatchOnlyModule* dispatch_only = nullptr;
   std::unique_ptr<cpu::Core> core;
   bool exited = false;
 
@@ -49,6 +73,10 @@ struct TapsFixture : ::testing::Test, cpu::OsClient {
     recorder = module.get();
     fw.add_module(std::move(module));
     recorder->set_enabled(true);
+    auto narrow = std::make_unique<DispatchOnlyModule>(fw);
+    dispatch_only = narrow.get();
+    fw.add_module(std::move(narrow));
+    dispatch_only->set_enabled(true);
     core = std::make_unique<cpu::Core>(cpu::CoreConfig{}, memory, il1, dl1);
     core->attach_framework(&fw);
     core->set_os(this);
@@ -253,6 +281,32 @@ skip:
   // twice).
   EXPECT_EQ(recorder->commits.size() + recorder->squashes.size(),
             recorder->dispatches.size());
+}
+
+TEST_F(TapsFixture, EventsRouteOnlyToDeclaredHandlers) {
+  // Loads, stores, a wrong-path squash and commits: every handler has work.
+  run(R"(
+.data
+.align 4
+var: .word 7
+.text
+main:
+  la s0, var
+  li t0, 1
+  beq t0, r0, wrong    # never taken; predicted taken initially
+  lw t1, 0(s0)
+  sw t1, 4(s0)
+  b after
+wrong:
+  add t5, t5, t5
+after:
+  syscall
+)");
+  EXPECT_FALSE(recorder->executes.empty());  // the default (all handlers)
+  EXPECT_FALSE(recorder->commits.empty());
+  EXPECT_FALSE(recorder->squashes.empty());
+  EXPECT_EQ(dispatch_only->dispatches, recorder->dispatches.size());
+  EXPECT_EQ(dispatch_only->others, 0u);
 }
 
 }  // namespace
