@@ -55,7 +55,7 @@ std::vector<std::pair<Addr, u32>> Core::inflight_ranges() const {
     ranges.emplace_back(fetch_buffer_.at(i).pc, 4u);
   }
   for (u32 offset = 0; offset < ruu_count_; ++offset) {
-    const RuuEntry& entry = ruu_[(ruu_head_ + offset) % config_.ruu_size];
+    const RuuEntry& entry = ruu_[ruu_index(offset)];
     if (!entry.valid) continue;
     ranges.emplace_back(entry.pc, 4u);
     if (entry.is_store && !entry.wrong_path && entry.mem_size != 0) {
@@ -82,18 +82,36 @@ void Core::cycle(Cycle now) {
 
 // ---------------------------------------------------------------- functional
 
-Word Core::read_mem_through_stores(Addr addr, u32 size, u32 upto_offset) const {
-  // Byte-wise resolution through the in-flight (dispatched, uncommitted)
-  // stores older than the load at RUU offset `upto_offset`.
+Word Core::read_mem_through_stores(Addr addr, u32 size) const {
+  // A load executing at dispatch is younger than every RUU entry.  One pass
+  // looks for an in-flight (dispatched, uncommitted) store overlapping
+  // [addr, addr + size); without one the load reads memory in one access.
+  // Both ranges are size-aligned, so neither wraps, and comparing offsets
+  // rather than end addresses stays right at the top of the address space.
+  bool overlap = false;
+  for (u32 off = 0, index = ruu_head_; off < ruu_count_ && !overlap;
+       ++off, index = ruu_next(index)) {
+    const RuuEntry& e = ruu_[index];
+    overlap = e.valid && e.is_store && !e.wrong_path &&
+              (addr - e.eff_addr < e.mem_size || e.eff_addr - addr < size);
+  }
+  if (!overlap) {
+    switch (size) {
+      case 1: return memory_->read_u8(addr);
+      case 2: return memory_->read_u16(addr);
+      default: return memory_->read_u32(addr);
+    }
+  }
+  // Byte-wise resolution: each byte comes from the youngest store covering it.
   Word value = 0;
   for (u32 byte = 0; byte < size; ++byte) {
     const Addr a = addr + byte;
     u8 b = 0;
     bool found = false;
-    for (u32 off = upto_offset; off-- > 0;) {
-      const RuuEntry& e = ruu_[(ruu_head_ + off) % config_.ruu_size];
+    for (u32 off = ruu_count_; off-- > 0;) {
+      const RuuEntry& e = ruu_[ruu_index(off)];
       if (!e.valid || !e.is_store || e.wrong_path) continue;
-      if (a >= e.eff_addr && a < e.eff_addr + e.mem_size) {
+      if (a - e.eff_addr < e.mem_size) {
         b = static_cast<u8>((e.mem_value >> (8 * (a - e.eff_addr))) & 0xFF);
         found = true;
         break;
@@ -124,7 +142,7 @@ void Core::exec_functional(RuuEntry& e, const FetchedInstr& f) {
     Word reg(u8 r) const { return core.regs_[r]; }
     void write(u8 r, Word value) { core.write_reg_with_undo(entry, r, value); }
     Word load(Addr addr, u32 size) const {
-      return core.read_mem_through_stores(addr, size, core.ruu_count_);
+      return core.read_mem_through_stores(addr, size);
     }
     void store(Addr, u32, Word) {}
   } policy{*this, e};
@@ -273,7 +291,7 @@ void Core::free_head_entry(RuuEntry& e) {
     reg_producer_seq_[e.dest_reg] = 0;
   }
   e.valid = false;
-  ruu_head_ = (ruu_head_ + 1) % config_.ruu_size;
+  ruu_head_ = ruu_next(ruu_head_);
   --ruu_count_;
 }
 
@@ -375,14 +393,12 @@ Cycle Core::issue_load(RuuEntry& e, u32 offset, Cycle now) {
   // forwards its data (1 cycle if it covers the load, a small penalty for a
   // partial overlap); otherwise the load accesses the D-cache.
   for (u32 off = offset; off-- > 0;) {
-    const RuuEntry& s = ruu_[(ruu_head_ + off) % config_.ruu_size];
+    const RuuEntry& s = ruu_[ruu_index(off)];
     if (!s.valid || !s.is_store || s.wrong_path) continue;
-    const Addr lo = e.eff_addr;
-    const Addr hi = e.eff_addr + e.mem_size;
-    const Addr slo = s.eff_addr;
-    const Addr shi = s.eff_addr + s.mem_size;
-    if (lo < shi && slo < hi) {
-      const bool covers = slo <= lo && shi >= hi;
+    // Offsets, not end addresses, as in read_mem_through_stores.
+    const Addr into = e.eff_addr - s.eff_addr;  // load start within the store
+    if (into < s.mem_size || s.eff_addr - e.eff_addr < e.mem_size) {
+      const bool covers = into < s.mem_size && into + e.mem_size <= s.mem_size;
       return now + (covers ? 1 : 3);
     }
   }
@@ -394,6 +410,8 @@ void Core::stage_issue(Cycle now) {
   u32 alu_used = 0;
   u32 mem_used = 0;
   bool mdu_used = false;
+  bool store_waiting = false;  // an unissued store precedes offset stores_checked
+  u32 stores_checked = 0;
   for (u32 off = 0; off < ruu_count_ && issued < config_.issue_width; ++off) {
     RuuEntry& e = ruu_at(off);
     if (e.issued || !entry_ready(e)) continue;
@@ -410,15 +428,13 @@ void Core::stage_issue(Cycle now) {
       case OpClass::kLoad: {
         if (mem_used == config_.mem_ports) continue;
         // Loads wait until all older stores have computed their addresses.
-        bool blocked = false;
-        for (u32 older = 0; older < off; ++older) {
-          const RuuEntry& s = ruu_at(older);
-          if (s.valid && s.is_store && !s.issued) {
-            blocked = true;
-            break;
-          }
+        // Entries behind the scan are final for this cycle, so the search
+        // for an unissued store resumes where the last load left it.
+        for (; !store_waiting && stores_checked < off; ++stores_checked) {
+          const RuuEntry& s = ruu_at(stores_checked);
+          store_waiting = s.is_store && !s.issued;
         }
-        if (blocked) continue;
+        if (store_waiting) continue;
         ++mem_used;
         e.complete_at = issue_load(e, off, now);
         break;
@@ -474,7 +490,7 @@ void Core::stage_dispatch(Cycle now) {
           f.instr.chk_module != isa::ModuleId::kIcm));
     if (serializing && ruu_count_ > 0) break;  // wait until the pipeline is empty
 
-    const u32 index = (ruu_head_ + ruu_count_) % config_.ruu_size;
+    const u32 index = ruu_index(ruu_count_);
     RuuEntry& e = ruu_[index];
     e = RuuEntry{};
     e.valid = true;

@@ -288,13 +288,18 @@ class Core {
   void stage_dispatch(Cycle now);
   void stage_fetch(Cycle now);
 
-  // helpers
-  u32 ruu_index(u32 offset) const { return (ruu_head_ + offset) % config_.ruu_size; }
+  // helpers.  RUU offsets (from the head) and slot indices stay below
+  // ruu_size, so the ring wraps with one compare instead of a division.
+  u32 ruu_index(u32 offset) const {
+    const u32 index = ruu_head_ + offset;
+    return index >= config_.ruu_size ? index - config_.ruu_size : index;
+  }
+  u32 ruu_next(u32 index) const { return index + 1 == config_.ruu_size ? 0 : index + 1; }
   RuuEntry& ruu_at(u32 offset) { return ruu_[ruu_index(offset)]; }
   bool ruu_full() const { return ruu_count_ == config_.ruu_size; }
 
   void exec_functional(RuuEntry& entry, const FetchedInstr& fetched);
-  Word read_mem_through_stores(Addr addr, u32 size, u32 upto_offset) const;
+  Word read_mem_through_stores(Addr addr, u32 size) const;
   void write_reg_with_undo(RuuEntry& entry, u8 reg, Word value);
   void squash_younger_than(u32 offset, Cycle now);
   void flush_all(Cycle now, Addr refetch_pc);

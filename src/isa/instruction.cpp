@@ -221,189 +221,6 @@ const char* op_name(Op op) {
 
 }  // namespace
 
-OpClass Instr::op_class() const {
-  switch (op) {
-    case Op::kSll:
-      if (rd == 0 && rt == 0 && shamt == 0) return OpClass::kNop;
-      return OpClass::kIntAlu;
-    case Op::kSrl:
-    case Op::kSra:
-    case Op::kSllv:
-    case Op::kSrlv:
-    case Op::kSrav:
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kNor:
-    case Op::kSlt:
-    case Op::kSltu:
-    case Op::kAddi:
-    case Op::kAndi:
-    case Op::kOri:
-    case Op::kXori:
-    case Op::kSlti:
-    case Op::kSltiu:
-    case Op::kLui:
-      return OpClass::kIntAlu;
-    case Op::kMul:
-    case Op::kMulh:
-    case Op::kDiv:
-    case Op::kRem:
-      return OpClass::kIntMul;
-    case Op::kLw:
-    case Op::kLb:
-    case Op::kLbu:
-    case Op::kLh:
-    case Op::kLhu:
-      return OpClass::kLoad;
-    case Op::kSw:
-    case Op::kSb:
-    case Op::kSh:
-      return OpClass::kStore;
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge:
-    case Op::kBltu:
-    case Op::kBgeu:
-      return OpClass::kBranch;
-    case Op::kJ:
-    case Op::kJal:
-    case Op::kJr:
-    case Op::kJalr:
-      return OpClass::kJump;
-    case Op::kSyscall:
-      return OpClass::kSyscall;
-    case Op::kChk:
-      return OpClass::kChk;
-    case Op::kInvalid:
-      return OpClass::kNop;
-  }
-  return OpClass::kNop;
-}
-
-std::optional<u8> Instr::dest_reg() const {
-  switch (op) {
-    case Op::kSll:
-    case Op::kSrl:
-    case Op::kSra:
-    case Op::kSllv:
-    case Op::kSrlv:
-    case Op::kSrav:
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kNor:
-    case Op::kSlt:
-    case Op::kSltu:
-    case Op::kMul:
-    case Op::kMulh:
-    case Op::kDiv:
-    case Op::kRem:
-    case Op::kJalr:
-      return rd == 0 ? std::nullopt : std::optional<u8>(rd);
-    case Op::kAddi:
-    case Op::kAndi:
-    case Op::kOri:
-    case Op::kXori:
-    case Op::kSlti:
-    case Op::kSltiu:
-    case Op::kLui:
-    case Op::kLw:
-    case Op::kLb:
-    case Op::kLbu:
-    case Op::kLh:
-    case Op::kLhu:
-      return rt == 0 ? std::nullopt : std::optional<u8>(rt);
-    case Op::kJal:
-      return std::optional<u8>(kRa);
-    default:
-      return std::nullopt;
-  }
-}
-
-Instr::Sources Instr::source_regs() const {
-  Sources s;
-  auto add = [&s](u8 r) { s.regs[s.count++] = r; };
-  switch (op) {
-    // shift-by-immediate reads rt only
-    case Op::kSll:
-    case Op::kSrl:
-    case Op::kSra:
-      add(rt);
-      break;
-    // two-source R-type
-    case Op::kSllv:
-    case Op::kSrlv:
-    case Op::kSrav:
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kNor:
-    case Op::kSlt:
-    case Op::kSltu:
-    case Op::kMul:
-    case Op::kMulh:
-    case Op::kDiv:
-    case Op::kRem:
-      add(rs);
-      add(rt);
-      break;
-    case Op::kJr:
-    case Op::kJalr:
-      add(rs);
-      break;
-    // I-type ALU reads rs
-    case Op::kAddi:
-    case Op::kAndi:
-    case Op::kOri:
-    case Op::kXori:
-    case Op::kSlti:
-    case Op::kSltiu:
-      add(rs);
-      break;
-    case Op::kLui:
-      break;
-    // loads read the base; stores read base + value
-    case Op::kLw:
-    case Op::kLb:
-    case Op::kLbu:
-    case Op::kLh:
-    case Op::kLhu:
-      add(rs);
-      break;
-    case Op::kSw:
-    case Op::kSb:
-    case Op::kSh:
-      add(rs);
-      add(rt);
-      break;
-    // branches compare rs, rt
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBlt:
-    case Op::kBge:
-    case Op::kBltu:
-    case Op::kBgeu:
-      add(rs);
-      add(rt);
-      break;
-    case Op::kChk:
-      add(rs);  // the CHK parameter register
-      break;
-    // syscall reads v0/a0..a3 but is serializing; model no renaming sources
-    default:
-      break;
-  }
-  return s;
-}
-
 Instr decode(Word raw) {
   Instr in;
   in.raw = raw;

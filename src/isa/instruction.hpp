@@ -14,6 +14,7 @@
 // is described in section 3.1.
 #pragma once
 
+#include <iterator>
 #include <optional>
 #include <string>
 
@@ -112,6 +113,72 @@ enum class OpClass : u8 {
   kChk,      // RSE CHECK instruction (NOP in the pipeline except at commit)
 };
 
+namespace detail {
+
+/// Register fields an operation writes and reads, and its class: one row
+/// per Op, in declaration order, so the pipeline's per-instruction queries
+/// are a table load instead of a call.
+enum class DestField : u8 { kNone, kRd, kRt, kRa };
+enum class SourceFields : u8 { kNone, kRs, kRt, kRsRt };
+struct OpTraits {
+  OpClass cls;
+  DestField dest;
+  SourceFields sources;  // syscall reads v0/a0..a3 but serializes: none modeled
+};
+
+inline constexpr OpTraits kOpTraits[] = {
+    {OpClass::kNop, DestField::kNone, SourceFields::kNone},        // kInvalid
+    {OpClass::kIntAlu, DestField::kRd, SourceFields::kRt},         // kSll (nop when all zero)
+    {OpClass::kIntAlu, DestField::kRd, SourceFields::kRt},         // kSrl
+    {OpClass::kIntAlu, DestField::kRd, SourceFields::kRt},         // kSra
+    {OpClass::kIntAlu, DestField::kRd, SourceFields::kRsRt},       // kSllv
+    {OpClass::kIntAlu, DestField::kRd, SourceFields::kRsRt},       // kSrlv
+    {OpClass::kIntAlu, DestField::kRd, SourceFields::kRsRt},       // kSrav
+    {OpClass::kIntAlu, DestField::kRd, SourceFields::kRsRt},       // kAdd
+    {OpClass::kIntAlu, DestField::kRd, SourceFields::kRsRt},       // kSub
+    {OpClass::kIntAlu, DestField::kRd, SourceFields::kRsRt},       // kAnd
+    {OpClass::kIntAlu, DestField::kRd, SourceFields::kRsRt},       // kOr
+    {OpClass::kIntAlu, DestField::kRd, SourceFields::kRsRt},       // kXor
+    {OpClass::kIntAlu, DestField::kRd, SourceFields::kRsRt},       // kNor
+    {OpClass::kIntAlu, DestField::kRd, SourceFields::kRsRt},       // kSlt
+    {OpClass::kIntAlu, DestField::kRd, SourceFields::kRsRt},       // kSltu
+    {OpClass::kIntMul, DestField::kRd, SourceFields::kRsRt},       // kMul
+    {OpClass::kIntMul, DestField::kRd, SourceFields::kRsRt},       // kMulh
+    {OpClass::kIntMul, DestField::kRd, SourceFields::kRsRt},       // kDiv
+    {OpClass::kIntMul, DestField::kRd, SourceFields::kRsRt},       // kRem
+    {OpClass::kJump, DestField::kNone, SourceFields::kRs},         // kJr
+    {OpClass::kJump, DestField::kRd, SourceFields::kRs},           // kJalr
+    {OpClass::kSyscall, DestField::kNone, SourceFields::kNone},    // kSyscall
+    {OpClass::kIntAlu, DestField::kRt, SourceFields::kRs},         // kAddi
+    {OpClass::kIntAlu, DestField::kRt, SourceFields::kRs},         // kAndi
+    {OpClass::kIntAlu, DestField::kRt, SourceFields::kRs},         // kOri
+    {OpClass::kIntAlu, DestField::kRt, SourceFields::kRs},         // kXori
+    {OpClass::kIntAlu, DestField::kRt, SourceFields::kRs},         // kSlti
+    {OpClass::kIntAlu, DestField::kRt, SourceFields::kRs},         // kSltiu
+    {OpClass::kIntAlu, DestField::kRt, SourceFields::kNone},       // kLui
+    {OpClass::kLoad, DestField::kRt, SourceFields::kRs},           // kLw
+    {OpClass::kLoad, DestField::kRt, SourceFields::kRs},           // kLb
+    {OpClass::kLoad, DestField::kRt, SourceFields::kRs},           // kLbu
+    {OpClass::kLoad, DestField::kRt, SourceFields::kRs},           // kLh
+    {OpClass::kLoad, DestField::kRt, SourceFields::kRs},           // kLhu
+    {OpClass::kStore, DestField::kNone, SourceFields::kRsRt},      // kSw
+    {OpClass::kStore, DestField::kNone, SourceFields::kRsRt},      // kSb
+    {OpClass::kStore, DestField::kNone, SourceFields::kRsRt},      // kSh
+    {OpClass::kBranch, DestField::kNone, SourceFields::kRsRt},     // kBeq
+    {OpClass::kBranch, DestField::kNone, SourceFields::kRsRt},     // kBne
+    {OpClass::kBranch, DestField::kNone, SourceFields::kRsRt},     // kBlt
+    {OpClass::kBranch, DestField::kNone, SourceFields::kRsRt},     // kBge
+    {OpClass::kBranch, DestField::kNone, SourceFields::kRsRt},     // kBltu
+    {OpClass::kBranch, DestField::kNone, SourceFields::kRsRt},     // kBgeu
+    {OpClass::kJump, DestField::kNone, SourceFields::kNone},       // kJ
+    {OpClass::kJump, DestField::kRa, SourceFields::kNone},         // kJal
+    {OpClass::kChk, DestField::kNone, SourceFields::kRs},          // kChk (parameter register)
+};
+static_assert(std::size(kOpTraits) == static_cast<std::size_t>(Op::kChk) + 1,
+              "one kOpTraits row per Op");
+
+}  // namespace detail
+
 /// RSE module selector carried in the CHK module# field (section 3.3).
 enum class ModuleId : u8 {
   kFramework = 0,  // enable/disable and framework-level controls
@@ -144,17 +211,37 @@ struct Instr {
   u16 chk_imm = 0;   // config options (12 bits)
   u16 pad = 0;
 
-  OpClass op_class() const;
+  OpClass op_class() const {
+    if (op == Op::kSll && rd == 0 && rt == 0 && shamt == 0) return OpClass::kNop;
+    return traits().cls;
+  }
 
   /// Destination register written by this instruction, or nullopt.
-  std::optional<u8> dest_reg() const;
+  std::optional<u8> dest_reg() const {
+    u8 r = 0;
+    switch (traits().dest) {
+      case detail::DestField::kNone: return std::nullopt;
+      case detail::DestField::kRd: r = rd; break;
+      case detail::DestField::kRt: r = rt; break;
+      case detail::DestField::kRa: r = kRa; break;
+    }
+    return r == 0 ? std::nullopt : std::optional<u8>(r);
+  }
 
   /// Source registers read (0, 1, or 2 entries; r0 reads are included).
   struct Sources {
     u8 count = 0;
     u8 regs[2] = {0, 0};
   };
-  Sources source_regs() const;
+  Sources source_regs() const {
+    switch (traits().sources) {
+      case detail::SourceFields::kNone: break;
+      case detail::SourceFields::kRs: return Sources{1, {rs, 0}};
+      case detail::SourceFields::kRt: return Sources{1, {rt, 0}};
+      case detail::SourceFields::kRsRt: return Sources{2, {rs, rt}};
+    }
+    return Sources{};
+  }
 
   bool is_control() const {
     const OpClass c = op_class();
@@ -164,6 +251,9 @@ struct Instr {
     const OpClass c = op_class();
     return c == OpClass::kLoad || c == OpClass::kStore;
   }
+
+ private:
+  const detail::OpTraits& traits() const { return detail::kOpTraits[static_cast<u8>(op)]; }
 };
 
 /// Decode a raw 32-bit word.  Returns op == kInvalid for unknown encodings

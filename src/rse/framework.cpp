@@ -5,6 +5,31 @@
 
 namespace rse::engine {
 
+namespace {
+
+/// Drop the delivered prefix [0, head) of a latched-event vector: at once
+/// when nothing is left, otherwise only after a few cycles' worth, so the
+/// undelivered tail is rarely moved.
+template <class T>
+void drop_delivered(std::vector<T>& events, std::size_t& head) {
+  constexpr std::size_t kMoveAfter = 64;
+  if (head == events.size()) {
+    events.clear();
+    head = 0;
+  } else if (head >= kMoveAfter) {
+    events.erase(events.begin(), events.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+}
+
+}  // namespace
+
+void Module::set_enabled(bool enabled) {
+  if (enabled && !enabled_) ++fw_->enables_;
+  enabled_ = enabled;
+  if (!enabled) reset();
+}
+
 Framework::Framework(mem::MainMemory& memory, mem::BusArbiter& bus, u32 ruu_entries)
     : memory_(&memory),
       queues_(ruu_entries),
@@ -17,7 +42,7 @@ void Framework::add_module(std::unique_ptr<Module> module) {
   // Routing is fixed once events flow: every pipeline event begins with its
   // instruction's dispatch (or, in unit tests, a bare commit or squash).
   if (stats_.dispatches_seen != 0 || stats_.commits_seen != 0 || stats_.squashes_seen != 0 ||
-      !pending_.empty()) {
+      pending_head_ != pending_.size() || held_head_ != held_.size()) {
     throw SimError(std::string("Framework::add_module: module ") + module->name() +
                    " registered after the first pipeline event");
   }
@@ -63,52 +88,7 @@ void Framework::on_dispatch(const DispatchInfo& info, Cycle now) {
   ioq_.allocate(info.tag, pending, is_chk ? info.instr.chk_module : isa::ModuleId::kFramework,
                 now);
   queues_.fetch_out.latch(info.tag.slot, info, info.tag.seq, now);
-  if (!dispatch_modules_.empty()) pending_.push_back({info, now + 1});
-}
-
-void Framework::on_execute(const ExecuteInfo& info, Cycle now) {
-  queues_.execute_out.latch(info.tag.slot, info, info.tag.seq, now);
-  if (!execute_modules_.empty()) pending_.push_back({info, now + 1});
-}
-
-void Framework::on_mem_load(const MemoryInfo& info, Cycle now) {
-  // Memory_Out is latched for module reads; no module handler consumes it.
-  queues_.memory_out.latch(info.tag.slot, info, info.tag.seq, now);
-}
-
-Cycle Framework::on_commit(const CommitInfo& info, Cycle now) {
-  ++stats_.commits_seen;
-  Cycle stall = 0;
-  const bool is_store = info.instr.op_class() == isa::OpClass::kStore;
-  if (is_store) {
-    // SavePage-style checks must intercept the store before it writes
-    // memory, so store commits are delivered synchronously.
-    for (Module* module : store_commit_modules_) {
-      if (module->enabled()) stall += module->on_store_commit(info, now);
-    }
-  }
-  if (!commit_modules_.empty()) pending_.push_back({info, now + 1});
-  // The IOQ entry and queue registers are freed as the commit signal removes
-  // the instruction's data from the input queues (section 3.1).
-  ioq_.free(info.tag);
-  queues_.fetch_out.invalidate(info.tag.slot, info.tag.seq);
-  queues_.execute_out.invalidate(info.tag.slot, info.tag.seq);
-  queues_.memory_out.invalidate(info.tag.slot, info.tag.seq);
-  return stall;
-}
-
-void Framework::on_squash(const InstrTag& tag, Cycle now) {
-  ++stats_.squashes_seen;
-  ioq_.free(tag);
-  queues_.fetch_out.invalidate(tag.slot, tag.seq);
-  queues_.execute_out.invalidate(tag.slot, tag.seq);
-  queues_.memory_out.invalidate(tag.slot, tag.seq);
-  if (!squash_modules_.empty()) pending_.push_back({tag, now + 1});
-}
-
-Ioq::CheckBits Framework::check_bits(u32 slot) const {
-  if (safe_mode_) return Ioq::CheckBits{true, false};
-  return ioq_.observed(slot);
+  latch(info, dispatch_modules_, now);
 }
 
 void Framework::module_write_ioq(Module& module, const InstrTag& tag, bool check_valid,
@@ -159,6 +139,21 @@ void Framework::handle_frame_chk(const isa::Instr& instr, Cycle now) {
   }
 }
 
+std::vector<Framework::PendingEvent> Framework::latched_events() const {
+  std::vector<PendingEvent> events;
+  events.reserve(pending_.size() + held_.size());
+  const u64 first = queued_ - pending_.size();
+  std::size_t held = held_head_;
+  for (std::size_t i = pending_head_; i < pending_.size(); ++i) {
+    for (; held < held_.size() && held_[held].position <= first + i; ++held) {
+      events.push_back(held_[held].pending);
+    }
+    events.push_back(pending_[i]);
+  }
+  for (; held < held_.size(); ++held) events.push_back(held_[held].pending);
+  return events;
+}
+
 void Framework::deliver(const PendingEvent& pending, Cycle now) {
   if (const auto* d = std::get_if<DispatchInfo>(&pending.event)) {
     for (Module* module : dispatch_modules_) {
@@ -180,12 +175,30 @@ void Framework::deliver(const PendingEvent& pending, Cycle now) {
 }
 
 void Framework::tick(Cycle now) {
-  std::size_t visible = 0;
+  // Delivery walks the latched events in order, held-aside ones in their
+  // place.  A held event reaches deliver() only if some module was enabled
+  // since it was latched; otherwise no module of its kind is enabled now
+  // either, and deliver() would hand it to nobody.
+  const u64 first = queued_ - pending_.size();
+  std::size_t visible = pending_head_;
+  std::size_t held = held_head_;
+  auto deliver_held = [&](u64 position) {
+    for (; held < held_.size() && held_[held].position <= position &&
+           held_[held].pending.visible_from <= now;
+         ++held) {
+      if (held_[held].enables != enables_) deliver(held_[held].pending, now);
+    }
+  };
   while (visible < pending_.size() && pending_[visible].visible_from <= now) {
+    deliver_held(first + visible);
     deliver(pending_[visible], now);
     ++visible;
   }
-  pending_.erase(pending_.begin(), pending_.begin() + static_cast<std::ptrdiff_t>(visible));
+  deliver_held(first + visible);
+  pending_head_ = visible;
+  held_head_ = held;
+  drop_delivered(pending_, pending_head_);
+  drop_delivered(held_, held_head_);
   mau_.tick(now);
   for (Module* module : tick_modules_) {
     if (module->enabled()) module->tick(now);
@@ -271,6 +284,9 @@ void Framework::recouple() {
 
 void Framework::reset() {
   pending_.clear();
+  held_.clear();
+  pending_head_ = 0;
+  held_head_ = 0;
   queues_.clear();
   ioq_.free_all();
   for (auto& module : modules_) module->reset();

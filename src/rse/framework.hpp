@@ -10,8 +10,10 @@
 //
 // Host cost follows what the modules consume: each event kind (and the
 // tick) goes only to the modules that declared its handler, an event kind
-// that no registered module handles is never queued, and the self-check's
-// full IOQ scan runs only in cycles where it could trip or change state
+// that no registered module handles is never queued, an event of a kind no
+// *enabled* module handles is held aside and dropped unread unless a module
+// is enabled before its delivery cycle, and the self-check's full IOQ scan
+// runs only in cycles where it could trip or change state
 // (docs/architecture.md, "Event routing and the self-check gate").
 #pragma once
 
@@ -97,8 +99,14 @@ class Framework {
 
   // ---- pipeline-facing interface ----
   void on_dispatch(const DispatchInfo& info, Cycle now);
-  void on_execute(const ExecuteInfo& info, Cycle now);
-  void on_mem_load(const MemoryInfo& info, Cycle now);
+  void on_execute(const ExecuteInfo& info, Cycle now) {
+    queues_.execute_out.latch(info.tag.slot, info, info.tag.seq, now);
+    latch(info, execute_modules_, now);
+  }
+  void on_mem_load(const MemoryInfo& info, Cycle now) {
+    // Memory_Out is latched for module reads; no module handler consumes it.
+    queues_.memory_out.latch(info.tag.slot, info, info.tag.seq, now);
+  }
 
   /// Commit notification.  For stores, called before the value reaches
   /// memory; the returned stall is charged to the commit stage (SavePage).
@@ -115,7 +123,10 @@ class Framework {
 
   /// The check bits the commit unit observes for a slot (constant (1,0) once
   /// the framework has decoupled itself into safe mode).
-  Ioq::CheckBits check_bits(u32 slot) const;
+  Ioq::CheckBits check_bits(u32 slot) const {
+    if (safe_mode_) return Ioq::CheckBits{true, false};
+    return ioq_.observed(slot);
+  }
 
   // ---- module-facing interface ----
   /// Write a module's check result to the IOQ, applying any injected module
@@ -150,7 +161,19 @@ class Framework {
     ar.field(queues_);
     ar.field(ioq_);
     ar.field(mau_);
-    ar.field(pending_);
+    // The archive holds every latched event, held-aside ones in their
+    // place, so it does not depend on which modules were enabled; a restore
+    // queues them all (delivery still skips disabled modules).
+    if constexpr (Ar::kIsWriter) {
+      std::vector<PendingEvent> latched = latched_events();
+      ar.field(latched);
+    } else {
+      ar.field(pending_);
+      held_.clear();
+      pending_head_ = 0;
+      held_head_ = 0;
+      queued_ = pending_.size();
+    }
     ar.field(safe_mode_);
     ar.field(verdict_);
     ar.field(alarm_counts_);
@@ -171,6 +194,37 @@ class Framework {
     void serialize_state(Ar& ar);
   };
 
+  /// An event held aside because no enabled module handled its kind when it
+  /// was latched.  `position` counts the pending_ events queued before it;
+  /// `enables` is enables_ at that time (no enable since: nobody to deliver to).
+  struct HeldEvent {
+    PendingEvent pending;
+    u64 position = 0;
+    u64 enables = 0;
+  };
+
+  friend class Module;  // set_enabled counts enables
+
+  static bool any_enabled(const std::vector<Module*>& modules) {
+    for (const Module* module : modules) {
+      if (module->enabled()) return true;
+    }
+    return false;
+  }
+
+  /// Queue an event for the modules in `handlers`, or hold it aside when
+  /// none of them is enabled.
+  template <class Event>
+  void latch(const Event& event, const std::vector<Module*>& handlers, Cycle now) {
+    if (any_enabled(handlers)) {
+      pending_.push_back({event, now + 1});
+      ++queued_;
+    } else if (!handlers.empty()) {
+      held_.push_back({{event, now + 1}, queued_, enables_});
+    }
+  }
+
+  std::vector<PendingEvent> latched_events() const;
   void deliver(const PendingEvent& pending, Cycle now);
   void handle_frame_chk(const isa::Instr& instr, Cycle now);
   void run_selfcheck(Cycle now);
@@ -192,9 +246,17 @@ class Framework {
   std::vector<Module*> store_commit_modules_;
   std::vector<Module*> squash_modules_;
 
-  // Events latched this cycle and last cycle, oldest first.  The vector is
-  // reused, so steady-state delivery allocates nothing.
+  // Events latched this cycle and last cycle, oldest first, from the head
+  // index on (the delivered prefix is dropped in batches).  The vectors are
+  // reused, so steady-state delivery allocates nothing.  held_ holds the
+  // events no enabled module handled when latched (derived ordering state:
+  // queued_ counts pushes to pending_, enables_ counts module enables).
   std::vector<PendingEvent> pending_;
+  std::vector<HeldEvent> held_;
+  std::size_t pending_head_ = 0;
+  std::size_t held_head_ = 0;
+  u64 queued_ = 0;
+  u64 enables_ = 0;
 
   // self-checking state
   SelfCheckConfig selfcheck_;
@@ -214,6 +276,36 @@ class Framework {
 
   FrameworkStats stats_;
 };
+
+inline Cycle Framework::on_commit(const CommitInfo& info, Cycle now) {
+  ++stats_.commits_seen;
+  Cycle stall = 0;
+  const bool is_store = info.instr.op_class() == isa::OpClass::kStore;
+  if (is_store) {
+    // SavePage-style checks must intercept the store before it writes
+    // memory, so store commits are delivered synchronously.
+    for (Module* module : store_commit_modules_) {
+      if (module->enabled()) stall += module->on_store_commit(info, now);
+    }
+  }
+  latch(info, commit_modules_, now);
+  // The IOQ entry and queue registers are freed as the commit signal removes
+  // the instruction's data from the input queues (section 3.1).
+  ioq_.free(info.tag);
+  queues_.fetch_out.invalidate(info.tag.slot, info.tag.seq);
+  queues_.execute_out.invalidate(info.tag.slot, info.tag.seq);
+  queues_.memory_out.invalidate(info.tag.slot, info.tag.seq);
+  return stall;
+}
+
+inline void Framework::on_squash(const InstrTag& tag, Cycle now) {
+  ++stats_.squashes_seen;
+  ioq_.free(tag);
+  queues_.fetch_out.invalidate(tag.slot, tag.seq);
+  queues_.execute_out.invalidate(tag.slot, tag.seq);
+  queues_.memory_out.invalidate(tag.slot, tag.seq);
+  latch(tag, squash_modules_, now);
+}
 
 template <class Ar>
 void Framework::PendingEvent::serialize_state(Ar& ar) {

@@ -85,10 +85,9 @@ class Module {
   virtual void reset() {}
 
   bool enabled() const { return enabled_; }
-  void set_enabled(bool enabled) {
-    enabled_ = enabled;
-    if (!enabled) reset();
-  }
+  /// Enabling also tells the framework, so events it held back while no
+  /// module of their kind was enabled reach this one (Framework::tick).
+  void set_enabled(bool enabled);
 
   ModuleFaultMode fault_mode() const { return fault_mode_; }
   void inject_fault(ModuleFaultMode mode) { fault_mode_ = mode; }

@@ -4,6 +4,9 @@
 // instrumentation, and across pipeline-stressing configurations.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "../support/edge_operand_program.hpp"
 #include "../support/random_program.hpp"
 #include "../support/sim_runner.hpp"
@@ -145,6 +148,65 @@ TEST_P(DifferentialTinyPipeline, StressedStructuresMatchGoldenModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTinyPipeline, ::testing::Range<u64>(400, 425));
+
+class DifferentialOddRing : public ::testing::TestWithParam<u64> {};
+
+TEST_P(DifferentialOddRing, NonPowerOfTwoRuuAndLsqMatchGoldenModel) {
+  // RUU slots wrap with a compare, not a division: sizes that are not powers
+  // of two wrap at every slot index, with and without the framework.
+  RandomProgramOptions options;
+  options.with_memory = true;
+  options.with_loops = true;
+  options.with_calls = GetParam() % 2 == 0;
+  const std::string source = generate_random_program(GetParam(), options);
+  const std::vector<u8> golden = golden_arena(source);
+  for (const auto& [ruu, lsq] : {std::pair<u32, u32>{12, 5}, std::pair<u32, u32>{20, 7}}) {
+    for (const bool framework : {false, true}) {
+      os::MachineConfig config;
+      config.core.ruu_size = ruu;
+      config.core.lsq_size = lsq;
+      config.framework_present = framework;
+      EXPECT_EQ(machine_arena(source, config), golden)
+          << "ruu " << ruu << " lsq " << lsq << " framework " << framework;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialOddRing, ::testing::Range<u64>(500, 515));
+
+TEST(Differential, StoreForwardingAtTheTopOfTheAddressSpaceMatchesGoldenModel) {
+  // Loads that read back in-flight stores to the last word of the address
+  // space: the store's end address wraps to 0, so forwarding must compare
+  // offsets, not end addresses.
+  const std::string source = R"(
+.data
+.align 4
+arena: .space 16
+.text
+main:
+  la s0, arena
+  li t1, 77
+  sw t1, -4(zero)
+  lw t2, -4(zero)
+  sw t2, 0(s0)
+  li t1, 0x1234
+  sh t1, -2(zero)
+  lhu t3, -2(zero)
+  sw t3, 4(s0)
+  lbu t4, -1(zero)
+  sw t4, 8(s0)
+  li t1, 0x5A
+  sb t1, -3(zero)
+  lw t5, -4(zero)
+  sw t5, 12(s0)
+  li a0, 0
+  li v0, 1
+  syscall
+)";
+  const std::vector<u8> golden = golden_arena(source, nullptr, 16);
+  EXPECT_EQ(golden[0], 77);
+  EXPECT_EQ(machine_arena(source, os::MachineConfig{}, 16), golden);
+}
 
 TEST(Differential, EdgeOperandsMatchGoldenModel) {
   // Every opcode the random generators never emit, on 0, ±1, INT32_MIN,
