@@ -91,18 +91,82 @@ bool CampaignRunner::apply_fault(os::Machine& machine, const InjectionRecord& re
 RunResult CampaignRunner::run_one(const WorkloadSetup& setup, const GoldenRun& golden,
                                   const InjectionRecord& record,
                                   const dme::CanonicalTrace* dme_reference) const {
-  const Cycle budget = budget_for(golden, /*hang_factor=*/8.0);
+  const Cycle budget = budget_for(golden, CampaignSpec{}.hang_factor);
   return run_one_with_budget(setup, golden, record, budget, dme_reference);
+}
+
+Start eligibility(const InjectionRecord& record, const isa::Program& program,
+                  const SnapshotChain* chain,
+                  const exec::FastForwardController::BoundaryMap* boundaries) {
+  const bool memory_fault = record.target == InjectTarget::kInstructionWord ||
+                            record.target == InjectTarget::kDataWord;
+  // An exact snapshot is the classic machine state itself, so any target may
+  // start from it.  Otherwise a register fault applies to the transplanted
+  // state directly; a memory-word fault needs the in-flight ranges only a
+  // fast-forward boundary records; a config fault interacts with in-flight
+  // CHK IOQ entries and never qualifies.
+  const bool exact = chain != nullptr && chain->exact;
+  if (!exact && record.target != InjectTarget::kRegisterBit &&
+      !(memory_fault && boundaries != nullptr)) {
+    return {Eligibility::kTarget};
+  }
+  if (chain != nullptr) {
+    const os::MachineSnapshot* snap = nullptr;
+    for (const os::MachineSnapshot& s : chain->snaps) {
+      if (s.at > record.inject_cycle) break;
+      snap = &s;
+    }
+    if (snap == nullptr) return {Eligibility::kUnmapped};
+    return {Eligibility::kFast, snap};
+  }
+  // Records whose injection cycle the fault-free run never reaches have no
+  // boundary entry (the classic path applies no fault there either).
+  const auto boundary = boundaries->find(record.inject_cycle);
+  if (boundary == boundaries->end()) return {Eligibility::kUnmapped};
+  // A memory word in flight in the pipeline at the boundary (fetched-but-
+  // uncommitted text, or the target of a dispatched store) keeps its clean
+  // value across the flip in the classic run, which the pipeline-less fast
+  // prefix cannot reproduce.
+  if (memory_fault && boundary->second.conflicts(record.addr, 4)) {
+    return {Eligibility::kConflict};
+  }
+  // An instruction-word fault on an ICM-checked instruction (one preceded
+  // by a `chk icm`) stays classic: the ICM compares the fetched word at
+  // dispatch, including wrong-path dispatches that are later squashed, so
+  // whether the corrupted word is ever *checked* depends on branch-predictor
+  // and pipeline state at the injection cycle — state the pipeline-less fast
+  // prefix cannot reproduce.  Faults on unchecked words (and on the chk
+  // words themselves) have no speculation-visible detector, so the committed
+  // path the transplant reproduces fully determines their classification.
+  if (record.target == InjectTarget::kInstructionWord && record.addr >= program.text_base + 4) {
+    const std::size_t prev = (record.addr - 4 - program.text_base) / 4;
+    if (prev < program.text.size()) {
+      const isa::Instr before = isa::decode(program.text[prev]);
+      if (before.op == isa::Op::kChk && before.chk_module == isa::ModuleId::kIcm) {
+        return {Eligibility::kChecked};
+      }
+    }
+  }
+  return {Eligibility::kFast, nullptr, &boundary->second};
 }
 
 namespace {
 
+/// A fast prefix's bail reason -> its fallback reason, indexed by
+/// exec::FastSession::BailReason (kNone, kSyscall, kIllegal, kSuspend).
+constexpr Eligibility kBailFallback[] = {Eligibility::kOther, Eligibility::kSyscall,
+                                         Eligibility::kIllegal, Eligibility::kSuspend};
+
+/// Step the guest until it finishes or the clock reaches `until`.
+void run_to(os::GuestOs& guest, Cycle until) {
+  while (!guest.finished() && guest.machine().now() < until) guest.step();
+}
+
 /// Classify a completed (or budget-bounded) faulty run from its machine and
-/// guest state — shared by the classic and fast-forward paths, which must
-/// gather evidence identically.  A non-null `checker` contributes the DME
-/// trace-comparison evidence: a length shortfall only counts as divergence
-/// when the run itself ended cleanly (a crash or hang truncates the trace
-/// for reasons the crash/hang outcome already explains).
+/// guest state.  A non-null `checker` contributes the DME trace-comparison
+/// evidence: a length shortfall only counts as divergence when the run
+/// itself ended cleanly (a crash or hang truncates the trace for reasons the
+/// crash/hang outcome already explains).
 void finish_run(os::Machine& machine, os::GuestOs& guest, const GoldenRun& golden,
                 bool host_trap, dme::TraceChecker* checker, RunResult* result) {
   RunEvidence evidence;
@@ -132,158 +196,33 @@ void finish_run(os::Machine& machine, os::GuestOs& guest, const GoldenRun& golde
   result->cycles = machine.now();
 }
 
-/// Install a streaming trace checker on the machine's commit hook.  The
-/// checker must outlive the machine's stepping (the caller keeps it on its
-/// stack frame until finish_run).
-void install_checker(os::Machine& machine, dme::TraceChecker& checker) {
-  machine.core().set_commit_record([&checker](const cpu::Core::CommitRecord& r) {
-    checker.push(r.pc, r.raw, r.is_mem, r.is_store, r.ea, r.value);
-  });
-}
-
 }  // namespace
 
-RunResult CampaignRunner::run_one_with_budget(const WorkloadSetup& setup,
-                                              const GoldenRun& golden,
-                                              const InjectionRecord& record, Cycle budget,
-                                              const dme::CanonicalTrace* dme_reference) const {
-  os::OsConfig os_config = setup.os;
-  os_config.run_limit = budget;
+RunResult CampaignRunner::run_from(const WorkloadSetup& setup, const GoldenRun& golden,
+                                   const InjectionRecord& record, Cycle budget,
+                                   const Start& start,
+                                   const exec::FastForwardController::SyscallSchedule* schedule,
+                                   const dme::CanonicalTrace* dme_reference) const {
+  BootedMachine booted(setup, golden.program, budget);
+  os::Machine& machine = booted.machine;
+  os::GuestOs& guest = booted.guest;
 
-  os::Machine machine(setup.machine);
-  os::GuestOs guest(machine, os_config);
-  guest.load(golden.program);
-  for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
-
-  std::optional<dme::TraceChecker> checker;
-  if (dme_reference != nullptr) {
-    checker.emplace(dme_reference, dme::RegionMap::of(guest));
-    install_checker(machine, *checker);
-  }
-
-  RunResult result;
-  result.record = record;
-
-  // A corrupted guest can reach states the OS model treats as fatal host-side
-  // errors (unknown syscall number, wild memory access).  Those are crashes
-  // of the faulty run, not of the campaign.
-  bool host_trap = false;
-  try {
-    while (!guest.finished() && machine.now() < record.inject_cycle && machine.now() < budget) {
-      guest.step();
+  if (start.snapshot != nullptr) {
+    // Restore failures are campaign bugs, not guest crashes: let them escape
+    // rather than classify as kCrash.
+    os::MachineSnapshot::restore(*start.snapshot, machine, guest);
+  } else if (start.boundary != nullptr) {
+    exec::FastSession::BailReason bail = exec::FastSession::BailReason::kNone;
+    if (!exec::FastForwardController::fast_forward_to(guest, golden.program,
+                                                      start.boundary->position,
+                                                      record.inject_cycle, schedule, &bail)) {
+      // Fast mode bailed (non-resumable syscall, early exit, illegal word):
+      // rerun from reset on a fresh machine — correctness over speed.
+      count(kBailFallback[static_cast<std::size_t>(bail)]);
+      return run_from(setup, golden, record, budget, Start{}, nullptr, dme_reference);
     }
-    if (!guest.finished() && machine.now() < budget) {
-      result.fault_applied = apply_fault(machine, record);
-    }
-    while (!guest.finished() && machine.now() < budget) guest.step();
-  } catch (const SimError&) {
-    host_trap = true;
+    count(Eligibility::kFast);
   }
-
-  finish_run(machine, guest, golden, host_trap, checker ? &*checker : nullptr, &result);
-  return result;
-}
-
-FastForwardStats CampaignRunner::fast_forward_stats() const {
-  FastForwardStats stats;
-  stats.fast = ff_accum_.fast.load(std::memory_order_relaxed);
-  stats.fallback_target = ff_accum_.fallback_target.load(std::memory_order_relaxed);
-  stats.fallback_unmapped = ff_accum_.fallback_unmapped.load(std::memory_order_relaxed);
-  stats.fallback_conflict = ff_accum_.fallback_conflict.load(std::memory_order_relaxed);
-  stats.fallback_checked = ff_accum_.fallback_checked.load(std::memory_order_relaxed);
-  stats.fallback_syscall = ff_accum_.fallback_syscall.load(std::memory_order_relaxed);
-  stats.fallback_suspend = ff_accum_.fallback_suspend.load(std::memory_order_relaxed);
-  stats.fallback_illegal = ff_accum_.fallback_illegal.load(std::memory_order_relaxed);
-  stats.fallback_other = ff_accum_.fallback_other.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void CampaignRunner::reset_fast_forward_stats() const {
-  ff_accum_.fast.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_target.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_unmapped.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_conflict.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_checked.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_syscall.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_suspend.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_illegal.store(0, std::memory_order_relaxed);
-  ff_accum_.fallback_other.store(0, std::memory_order_relaxed);
-}
-
-RunResult CampaignRunner::run_one_fast_forward(
-    const WorkloadSetup& setup, const GoldenRun& golden, const InjectionRecord& record,
-    Cycle budget, const exec::FastForwardController::BoundaryMap& boundaries,
-    const exec::FastForwardController::SyscallSchedule* schedule,
-    const dme::CanonicalTrace* dme_reference) const {
-  const auto bump = [](std::atomic<u64>& counter) {
-    counter.fetch_add(1, std::memory_order_relaxed);
-  };
-  // Register-bit faults fast-forward unconditionally; instruction-/data-word
-  // faults fast-forward unless the word was in flight in the pipeline at the
-  // boundary (fetched-but-uncommitted text, or the target of a dispatched
-  // store) — the classic run's pipeline holds the clean word across the flip
-  // there, which the pipeline-less fast prefix cannot reproduce.  Config
-  // faults interact with in-flight CHK IOQ entries and stay classic.
-  // Records whose injection cycle the fault-free run never reaches have no
-  // boundary entry (the classic path applies no fault there either).
-  const bool memory_fault = record.target == InjectTarget::kInstructionWord ||
-                            record.target == InjectTarget::kDataWord;
-  if (record.target != InjectTarget::kRegisterBit && !memory_fault) {
-    bump(ff_accum_.fallback_target);
-    return run_one_with_budget(setup, golden, record, budget, dme_reference);
-  }
-  const auto boundary = boundaries.find(record.inject_cycle);
-  if (boundary == boundaries.end()) {
-    bump(ff_accum_.fallback_unmapped);
-    return run_one_with_budget(setup, golden, record, budget, dme_reference);
-  }
-  if (memory_fault && boundary->second.conflicts(record.addr, 4)) {
-    bump(ff_accum_.fallback_conflict);
-    return run_one_with_budget(setup, golden, record, budget, dme_reference);
-  }
-  // An instruction-word fault on an ICM-checked instruction (one preceded
-  // by a `chk icm`) stays classic: the ICM compares the fetched word at
-  // dispatch, including wrong-path dispatches that are later squashed, so
-  // whether the corrupted word is ever *checked* depends on branch-predictor
-  // and pipeline state at the injection cycle — state the pipeline-less fast
-  // prefix cannot reproduce.  Faults on unchecked words (and on the chk
-  // words themselves) have no speculation-visible detector, so the committed
-  // path the transplant reproduces fully determines their classification.
-  if (record.target == InjectTarget::kInstructionWord &&
-      record.addr >= golden.program.text_base + 4) {
-    const std::size_t prev = (record.addr - 4 - golden.program.text_base) / 4;
-    if (prev < golden.program.text.size()) {
-      const isa::Instr before = isa::decode(golden.program.text[prev]);
-      if (before.op == isa::Op::kChk && before.chk_module == isa::ModuleId::kIcm) {
-        bump(ff_accum_.fallback_checked);
-        return run_one_with_budget(setup, golden, record, budget, dme_reference);
-      }
-    }
-  }
-
-  os::OsConfig os_config = setup.os;
-  os_config.run_limit = budget;
-
-  os::Machine machine(setup.machine);
-  os::GuestOs guest(machine, os_config);
-  guest.load(golden.program);
-  for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
-
-  exec::FastSession::BailReason bail = exec::FastSession::BailReason::kNone;
-  if (!exec::FastForwardController::fast_forward_to(guest, golden.program,
-                                                    boundary->second.position,
-                                                    record.inject_cycle, schedule, &bail)) {
-    // Fast mode bailed (non-resumable syscall, early exit, illegal word):
-    // rerun classically on a fresh machine — correctness over speed.
-    switch (bail) {
-      case exec::FastSession::BailReason::kSyscall: bump(ff_accum_.fallback_syscall); break;
-      case exec::FastSession::BailReason::kSuspend: bump(ff_accum_.fallback_suspend); break;
-      case exec::FastSession::BailReason::kIllegal: bump(ff_accum_.fallback_illegal); break;
-      case exec::FastSession::BailReason::kNone: bump(ff_accum_.fallback_other); break;
-    }
-    return run_one_with_budget(setup, golden, record, budget, dme_reference);
-  }
-  ff_accum_.fast.fetch_add(1, std::memory_order_relaxed);
 
   // The fast prefix committed `position` instructions that the checker never
   // saw; advance it to the boundary so the suffix compares against the right
@@ -292,17 +231,27 @@ RunResult CampaignRunner::run_one_fast_forward(
   std::optional<dme::TraceChecker> checker;
   if (dme_reference != nullptr) {
     checker.emplace(dme_reference, dme::RegionMap::of(guest));
-    checker->set_position(boundary->second.position);
-    install_checker(machine, *checker);
+    if (start.boundary != nullptr) checker->set_position(start.boundary->position);
+    machine.core().set_commit_record([&c = *checker](const cpu::Core::CommitRecord& r) {
+      c.push(r.pc, r.raw, r.is_mem, r.is_store, r.ea, r.value);
+    });
   }
 
   RunResult result;
   result.record = record;
 
+  // Inject and finish.  After a fast start now() is already at or past the
+  // injection cycle (Machine::warp_to never moves the clock back), so the
+  // first step does nothing there.  A corrupted guest can reach states the
+  // OS model treats as fatal host-side errors (unknown syscall number, wild
+  // memory access); those are crashes of the faulty run, not of the campaign.
   bool host_trap = false;
   try {
-    result.fault_applied = apply_fault(machine, record);
-    while (!guest.finished() && machine.now() < budget) guest.step();
+    run_to(guest, std::min(record.inject_cycle, budget));
+    if (!guest.finished() && machine.now() < budget) {
+      result.fault_applied = apply_fault(machine, record);
+    }
+    run_to(guest, budget);
   } catch (const SimError&) {
     host_trap = true;
   }
@@ -311,11 +260,48 @@ RunResult CampaignRunner::run_one_fast_forward(
   return result;
 }
 
+RunResult CampaignRunner::run_one_with_budget(const WorkloadSetup& setup,
+                                              const GoldenRun& golden,
+                                              const InjectionRecord& record, Cycle budget,
+                                              const dme::CanonicalTrace* dme_reference) const {
+  return run_from(setup, golden, record, budget, Start{}, nullptr, dme_reference);
+}
+
+FastForwardStats CampaignRunner::fast_forward_stats() const {
+  const auto at = [this](Eligibility reason) {
+    return ff_accum_[static_cast<std::size_t>(reason)].load(std::memory_order_relaxed);
+  };
+  return {at(Eligibility::kFast),     at(Eligibility::kTarget),   at(Eligibility::kUnmapped),
+          at(Eligibility::kConflict), at(Eligibility::kChecked),  at(Eligibility::kSyscall),
+          at(Eligibility::kSuspend),  at(Eligibility::kIllegal),  at(Eligibility::kOther)};
+}
+
+RunResult CampaignRunner::run_one_fast_forward(
+    const WorkloadSetup& setup, const GoldenRun& golden, const InjectionRecord& record,
+    Cycle budget, const exec::FastForwardController::BoundaryMap& boundaries,
+    const exec::FastForwardController::SyscallSchedule* schedule,
+    const dme::CanonicalTrace* dme_reference) const {
+  const Start start = eligibility(record, golden.program, nullptr, &boundaries);
+  if (start.reason != Eligibility::kFast) count(start.reason);
+  return run_from(setup, golden, record, budget, start, schedule, dme_reference);
+}
+
+RunResult CampaignRunner::run_one_forked(const WorkloadSetup& setup, const GoldenRun& golden,
+                                         const InjectionRecord& record, Cycle budget,
+                                         const SnapshotChain& chain) const {
+  const Start start = eligibility(record, golden.program, &chain, nullptr);
+  // Only a fast-forward-built chain counts: it is the --fast-forward mode's
+  // way of skipping prefixes.
+  if (!chain.exact) count(start.reason);
+  return run_from(setup, golden, record, budget, start, nullptr, nullptr);
+}
+
 SnapshotChain CampaignRunner::build_snapshot_chain(const WorkloadSetup& setup,
                                                    const GoldenRun& golden,
                                                    const CampaignSpec& spec, Cycle budget,
                                                    bool use_fast_forward) const {
   SnapshotChain chain;
+  chain.exact = !use_fast_forward;
   const u32 buckets = std::max(1u, spec.snapshot_buckets);
   std::vector<Cycle> bounds;
   for (u32 b = 0; b < buckets; ++b) {
@@ -323,55 +309,35 @@ SnapshotChain CampaignRunner::build_snapshot_chain(const WorkloadSetup& setup,
     if (bounds.empty() || bounds.back() != bound) bounds.push_back(bound);
   }
 
-  os::OsConfig os_config = setup.os;
-  os_config.run_limit = budget;
-
-  if (!use_fast_forward) {
-    // One from-reset cycle-accurate pass captures every bucket boundary.
-    // Because the pass replicates the classic pre-injection loop exactly,
-    // each snapshot is bit-identical to the machine state a classic run
-    // reaches at that cycle — the chain is exact.
-    os::Machine machine(setup.machine);
-    os::GuestOs guest(machine, os_config);
-    guest.load(golden.program);
-    for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
-    for (Cycle bound : bounds) {
-      while (!guest.finished() && machine.now() < bound && machine.now() < budget) guest.step();
-      while (!guest.finished() && machine.now() < budget &&
-             !os::MachineSnapshot::quiescent(machine)) {
-        guest.step();
-      }
-      if (guest.finished() || !os::MachineSnapshot::quiescent(machine)) break;
-      if (!chain.snaps.empty() && chain.snaps.back().at == machine.now()) continue;
-      chain.snaps.push_back(os::MachineSnapshot::capture(machine, guest));
-    }
-    return chain;
-  }
-
-  // Fast-forward mode: each boundary's fault-free prefix runs through the
-  // exec/ fast engine and is transplanted into the cycle-accurate core at
-  // the boundary.  The transplant drains the pipeline, so these snapshots
-  // are not microarchitecturally identical to a from-reset run's state —
-  // the chain is inexact and forking from it is register-fault-only.
-  chain.exact = false;
-  std::vector<Cycle> ff_bounds;
-  for (Cycle bound : bounds) {
-    if (bound > 0) ff_bounds.push_back(bound);
-  }
+  // Fast-forward mode: each bound's fault-free prefix runs through the exec/
+  // fast engine and is transplanted into the cycle-accurate core at the
+  // bound.  The transplant drains the pipeline, so these snapshots are not
+  // microarchitecturally identical to a from-reset run's state — the chain
+  // is inexact and forking from it is register-fault-only.
   exec::FastForwardController::BoundaryMap bmap;
-  if (!ff_bounds.empty()) {
-    os::Machine machine(setup.machine);
-    os::GuestOs guest(machine, os_config);
-    guest.load(golden.program);
-    for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
-    bmap = exec::FastForwardController::map_boundaries(guest, std::move(ff_bounds));
+  if (use_fast_forward) {
+    std::vector<Cycle> ff_bounds;
+    for (Cycle bound : bounds) {
+      if (bound > 0) ff_bounds.push_back(bound);
+    }
+    if (!ff_bounds.empty()) {
+      BootedMachine replay(setup, golden.program, budget);
+      bmap = exec::FastForwardController::map_boundaries(replay.guest, std::move(ff_bounds));
+    }
   }
+
+  // Exact mode: one from-reset cycle-accurate pass reaches every bound.
+  // Because the pass replicates the classic pre-injection loop exactly, each
+  // snapshot is bit-identical to the machine state a classic run reaches at
+  // that cycle.
+  std::optional<BootedMachine> booted;
   for (Cycle bound : bounds) {
-    os::Machine machine(setup.machine);
-    os::GuestOs guest(machine, os_config);
-    guest.load(golden.program);
-    for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
-    if (bound > 0) {
+    if (!booted || !chain.exact) booted.emplace(setup, golden.program, budget);
+    os::Machine& machine = booted->machine;
+    os::GuestOs& guest = booted->guest;
+    if (chain.exact) {
+      run_to(guest, std::min(bound, budget));
+    } else if (bound > 0) {
       const auto boundary = bmap.find(bound);
       if (boundary == bmap.end()) break;  // golden finished before this bound
       if (!exec::FastForwardController::fast_forward_to(guest, golden.program,
@@ -379,6 +345,7 @@ SnapshotChain CampaignRunner::build_snapshot_chain(const WorkloadSetup& setup,
         continue;  // fast mode bailed; runs in this bucket fork from an earlier snap
       }
     }
+    // Quiesce, then capture.
     while (!guest.finished() && machine.now() < budget &&
            !os::MachineSnapshot::quiescent(machine)) {
       guest.step();
@@ -388,54 +355,6 @@ SnapshotChain CampaignRunner::build_snapshot_chain(const WorkloadSetup& setup,
     chain.snaps.push_back(os::MachineSnapshot::capture(machine, guest));
   }
   return chain;
-}
-
-RunResult CampaignRunner::run_one_forked(const WorkloadSetup& setup, const GoldenRun& golden,
-                                         const InjectionRecord& record, Cycle budget,
-                                         const SnapshotChain& chain) const {
-  // Latest snapshot at or before the injection cycle.  Inexact (fast-
-  // forward-built) chains are only valid for register faults — the same
-  // eligibility rule as run_one_fast_forward.
-  const os::MachineSnapshot* snap = nullptr;
-  if (chain.exact || record.target == InjectTarget::kRegisterBit) {
-    for (const os::MachineSnapshot& s : chain.snaps) {
-      if (s.at > record.inject_cycle) break;
-      snap = &s;
-    }
-  }
-  if (snap == nullptr) return run_one_with_budget(setup, golden, record, budget);
-
-  os::OsConfig os_config = setup.os;
-  os_config.run_limit = budget;
-
-  os::Machine machine(setup.machine);
-  os::GuestOs guest(machine, os_config);
-  guest.load(golden.program);
-  for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
-  // Restore failures are campaign bugs, not guest crashes: let them escape
-  // rather than classify as kCrash.
-  os::MachineSnapshot::restore(*snap, machine, guest);
-
-  RunResult result;
-  result.record = record;
-
-  // From here on the body is the classic run_one_with_budget loop verbatim:
-  // the snapshot stands in for the fault-free prefix it already simulated.
-  bool host_trap = false;
-  try {
-    while (!guest.finished() && machine.now() < record.inject_cycle && machine.now() < budget) {
-      guest.step();
-    }
-    if (!guest.finished() && machine.now() < budget) {
-      result.fault_applied = apply_fault(machine, record);
-    }
-    while (!guest.finished() && machine.now() < budget) guest.step();
-  } catch (const SimError&) {
-    host_trap = true;
-  }
-
-  finish_run(machine, guest, golden, host_trap, /*checker=*/nullptr, &result);
-  return result;
 }
 
 CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
@@ -500,11 +419,6 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
     golden_ptr = &golden_local;
   }
 
-  // Fast-forward prerequisites: one instrumented cycle-accurate replay maps
-  // each register-fault injection cycle to its functional-stream position.
-  // A golden run with baseline detector activity disables the fast path
-  // entirely — the detector events of the fault-free prefix would be missing
-  // from a fast-forwarded run, skewing the against-golden classification.
   // This shard executes the contiguous plan range [shard_lo, shard_hi).
   // Unsharded campaigns cover the whole plan; merging every shard's report
   // reproduces the unsharded digest byte-for-byte (campaign/shard.hpp).
@@ -512,12 +426,17 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
   const u32 shard_hi =
       static_cast<u32>(u64{spec.runs} * (spec.shard_index + 1) / spec.shard_count);
 
-  reset_fast_forward_stats();
+  // Fast-forward prerequisites: one instrumented cycle-accurate replay maps
+  // each eligible injection cycle to its functional-stream position.  A
+  // golden run with baseline detector activity disables the fast path
+  // entirely — the detector events of the fault-free prefix would be missing
+  // from a fast-forwarded run, skewing the against-golden classification.  A
+  // DME baseline divergence (variant B disagrees with fault-free variant A)
+  // disables it too: the skipped prefix could hide where the baseline
+  // diverges, so set_position would desynchronize the checker.
+  for (std::atomic<u64>& counter : ff_accum_) counter.store(0, std::memory_order_relaxed);
   exec::FastForwardController::BoundaryMap boundaries;
   exec::FastForwardController::SyscallSchedule schedule;
-  // A DME baseline divergence (variant B disagrees with fault-free variant A)
-  // also disables fast-forward: the skipped prefix could hide where the
-  // baseline diverges, so set_position would desynchronize the checker.
   const bool golden_baseline_clean =
       golden->icm_mismatches == 0 && golden->cfc_violations == 0 &&
       golden->selfcheck_trips == 0 && golden->os_recoveries == 0 &&
@@ -525,24 +444,21 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
       (!spec.dme || golden_ptr->dme_divergences == 0);
   const bool use_fast_forward = spec.fast_forward && golden_baseline_clean;
   if (use_fast_forward && !spec.snapshot_fork) {
+    // With no boundary mapped yet, eligibility() answers kUnmapped for
+    // exactly the records whose target a fast start can take.
     std::vector<Cycle> cycles;
     for (u32 i = shard_lo; i < shard_hi; ++i) {
       const InjectionRecord record = plan.record(i);
-      const bool eligible = record.target == InjectTarget::kRegisterBit ||
-                            record.target == InjectTarget::kInstructionWord ||
-                            record.target == InjectTarget::kDataWord;
-      if (eligible) cycles.push_back(record.inject_cycle);
+      if (eligibility(record, golden->program, nullptr, &boundaries).reason !=
+          Eligibility::kTarget) {
+        cycles.push_back(record.inject_cycle);
+      }
     }
     if (!cycles.empty()) {
-      os::OsConfig os_config = setup.os;
-      os_config.run_limit = budget;
-      os::Machine machine(setup.machine);
-      os::GuestOs guest(machine, os_config);
-      guest.load(golden->program);
-      for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
+      BootedMachine replay(setup, golden->program, budget);
       // The same replay that samples boundary positions and in-flight
       // ranges also records the syscall schedule that arms bail-and-resume.
-      boundaries = exec::FastForwardController::map_boundaries(guest, std::move(cycles),
+      boundaries = exec::FastForwardController::map_boundaries(replay.guest, std::move(cycles),
                                                                &schedule);
     }
   }

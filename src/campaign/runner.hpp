@@ -8,10 +8,16 @@
 // deterministic InjectionPlan, and aggregation happens in index order after
 // the workers join.
 //
-// A hang watchdog bounds every faulty run at hang_factor x the golden run's
-// cycle count; runs that exceed it classify as kHang.
+// Every faulty run goes through one pipeline: boot a fresh machine, start
+// (from reset, by forking a snapshot, or by fast-forwarding the fault-free
+// prefix — eligibility() decides), step to the injection cycle and apply the
+// fault, step to the budget, classify.  Whatever the start, the classified
+// outcome is the classic one.  A hang watchdog bounds every faulty run at
+// hang_factor x the golden run's cycle count; runs that exceed it classify as
+// kHang.
 #pragma once
 
+#include <array>
 #include <atomic>
 
 #include "campaign/golden.hpp"
@@ -28,28 +34,64 @@ namespace rse::campaign {
 /// restoring any snapshot reproduces the classic run's machine state at that
 /// cycle precisely, so runs of *every* fault target may fork from it.  A
 /// chain built through fast-forward transplants is not microarchitecturally
-/// exact; forking from it is restricted to register-bit faults — the same
-/// restriction run_one_fast_forward enforces.
+/// exact; forking from it is restricted to register-bit faults
+/// (eligibility()).
 struct SnapshotChain {
   std::vector<os::MachineSnapshot> snaps;
   bool exact = true;
 };
 
+/// Whether a faulty run may skip its fault-free prefix (kFast), or why it
+/// starts from reset.  In FastForwardStats' field order: indexes its counters.
+enum class Eligibility : u8 {
+  kFast,
+  kTarget,    // fault target the start state cannot take (config faults;
+              // every non-register fault on an inexact chain)
+  kUnmapped,  // no boundary or snapshot at or before the injection cycle
+              // (golden finished first, or a CI-refinement index)
+  kConflict,  // memory-word fault overlapped in-flight state
+  kChecked,   // instr-word fault on an ICM-checked instruction
+  kSyscall,   // fast prefix: un-executed, non-resumable syscall
+  kSuspend,   // fast prefix: post-syscall suspend it couldn't resume
+  kIllegal,   // fast prefix: illegal word or host trap
+  kOther,     // fast prefix: early exit / boundary position mismatch
+};
+inline constexpr std::size_t kNumEligibilities = 9;
+
+/// Where an eligible record starts: a snapshot to fork from or a boundary to
+/// fast-forward to (neither: from reset, for `reason`).
+struct Start {
+  Eligibility reason = Eligibility::kFast;
+  const os::MachineSnapshot* snapshot = nullptr;
+  const exec::FastForwardController::Boundary* boundary = nullptr;
+};
+
+/// The one rule that decides fast, fork or fallback for a record: fork from
+/// the latest `chain` snapshot at or before the injection cycle, or
+/// fast-forward to its entry in `boundaries` (pass one of the two).  Target
+/// checks come first, so an empty boundary map answers kUnmapped for exactly
+/// the records a boundary would serve.  (The fast prefix can still bail at
+/// run time: kSyscall to kOther.)
+Start eligibility(const InjectionRecord& record, const isa::Program& program,
+                  const SnapshotChain* chain,
+                  const exec::FastForwardController::BoundaryMap* boundaries);
+
 /// Fallback accounting for the fast-forward path, aggregated over one run()
 /// call (reset at campaign start).  Purely observational — the classified
 /// outcomes and the deterministic digest never depend on which path a run
 /// took — but it answers "why wasn't this campaign faster?" precisely.
+/// fallback_X counts Eligibility::kX.
 struct FastForwardStats {
-  u64 fast = 0;               // prefixes that ran on the fast engine
-  u64 fallback_target = 0;    // ineligible fault target (config faults)
-  u64 fallback_unmapped = 0;  // no boundary: golden finished before the cycle,
-                              // or a CI-refinement index past the mapped plan
-  u64 fallback_conflict = 0;  // memory-word fault overlapped in-flight state
-  u64 fallback_checked = 0;   // instr-word fault on an ICM-checked instruction
-  u64 fallback_syscall = 0;   // un-executed, non-resumable syscall in prefix
-  u64 fallback_suspend = 0;   // post-syscall suspend fast mode couldn't resume
-  u64 fallback_illegal = 0;   // illegal word or host trap in the prefix
-  u64 fallback_other = 0;     // early exit / boundary position mismatch
+  u64 fast = 0;  // runs that skipped their prefix: fast-engine prefixes, and
+                 // forks from a fast-forward-built (inexact) snapshot chain
+  u64 fallback_target = 0;
+  u64 fallback_unmapped = 0;
+  u64 fallback_conflict = 0;
+  u64 fallback_checked = 0;
+  u64 fallback_syscall = 0;
+  u64 fallback_suspend = 0;
+  u64 fallback_illegal = 0;
+  u64 fallback_other = 0;
 
   u64 fallbacks() const {
     return fallback_target + fallback_unmapped + fallback_conflict + fallback_checked +
@@ -81,17 +123,11 @@ class CampaignRunner {
                                 const InjectionRecord& record, Cycle budget,
                                 const dme::CanonicalTrace* dme_reference = nullptr) const;
 
-  /// Fast-forward variant: the fault-free prefix runs through the exec/ fast
-  /// engine and is transplanted into the cycle-accurate core at the
-  /// injection cycle.  Register-bit records and instruction-/data-word
-  /// records whose boundary reports no in-flight overlap take the fast path
-  /// (the fault itself is applied after the transplant, exactly where the
-  /// classic loop applies it); a non-null `schedule` additionally lets the
-  /// prefix bail-and-resume through non-whitelisted syscalls.  Everything
-  /// else (config faults, records past the fault-free run's end, in-flight
-  /// conflicts, fast-mode bails) falls back to the classic
-  /// run_one_with_budget — so the classified outcome is always the classic
-  /// one (docs/execution.md).
+  /// Fast-forward variant: when eligibility() allows, the fault-free prefix
+  /// runs through the exec/ fast engine and is transplanted into the
+  /// cycle-accurate core at the injection cycle; a non-null `schedule` lets
+  /// it bail-and-resume through non-whitelisted syscalls.  Ineligible records
+  /// and fast-mode bails run from reset (docs/execution.md).
   RunResult run_one_fast_forward(const WorkloadSetup& setup, const GoldenRun& golden,
                                  const InjectionRecord& record, Cycle budget,
                                  const exec::FastForwardController::BoundaryMap& boundaries,
@@ -100,15 +136,14 @@ class CampaignRunner {
                                  const dme::CanonicalTrace* dme_reference = nullptr) const;
 
   /// Fast-forward fallback accounting for the most recent run() (or the
-  /// run_one_fast_forward calls since then).  Not part of any digest.
+  /// run_one_fast_forward / inexact-chain run_one_forked calls since then).
+  /// Not part of any digest.
   FastForwardStats fast_forward_stats() const;
 
   /// Checkpoint-fork variant: restore the latest chain snapshot at or before
-  /// the injection cycle into a fresh machine/guest pair, then replicate the
-  /// classic stepping loop from there — only the post-snapshot suffix is
-  /// simulated.  Records with no eligible snapshot (inexact chain + non-
-  /// register target, or empty chain) fall back to run_one_with_budget, so
-  /// classified outcomes are always the classic ones.
+  /// the injection cycle (eligibility()), so only the post-snapshot suffix is
+  /// simulated.  Records with no eligible snapshot run from reset.  Runs on
+  /// an inexact (fast-forward-built) chain count in fast_forward_stats().
   RunResult run_one_forked(const WorkloadSetup& setup, const GoldenRun& golden,
                            const InjectionRecord& record, Cycle budget,
                            const SnapshotChain& chain) const;
@@ -132,25 +167,23 @@ class CampaignRunner {
  private:
   Cycle budget_for(const GoldenRun& golden, double hang_factor) const;
   bool apply_fault(os::Machine& machine, const InjectionRecord& record) const;
-  void reset_fast_forward_stats() const;
+  /// The one run pipeline: boot -> start (reset; fork from `start.snapshot`;
+  /// or fast-forward to `start.boundary`, rerunning from reset on a bail) ->
+  /// inject -> finish -> classify.
+  RunResult run_from(const WorkloadSetup& setup, const GoldenRun& golden,
+                     const InjectionRecord& record, Cycle budget, const Start& start,
+                     const exec::FastForwardController::SyscallSchedule* schedule,
+                     const dme::CanonicalTrace* dme_reference) const;
+  void count(Eligibility reason) const {
+    ff_accum_[static_cast<std::size_t>(reason)].fetch_add(1, std::memory_order_relaxed);
+  }
 
   GoldenCache own_cache_;
   GoldenCache* cache_;
 
-  // Workers increment concurrently; relaxed atomics, snapshot via
-  // fast_forward_stats().
-  struct AtomicFfStats {
-    std::atomic<u64> fast{0};
-    std::atomic<u64> fallback_target{0};
-    std::atomic<u64> fallback_unmapped{0};
-    std::atomic<u64> fallback_conflict{0};
-    std::atomic<u64> fallback_checked{0};
-    std::atomic<u64> fallback_syscall{0};
-    std::atomic<u64> fallback_suspend{0};
-    std::atomic<u64> fallback_illegal{0};
-    std::atomic<u64> fallback_other{0};
-  };
-  mutable AtomicFfStats ff_accum_;
+  // Workers increment concurrently; relaxed atomics indexed by Eligibility,
+  // snapshot via fast_forward_stats().
+  mutable std::array<std::atomic<u64>, kNumEligibilities> ff_accum_{};
 };
 
 }  // namespace rse::campaign

@@ -270,4 +270,15 @@ std::vector<std::string> workload_names() {
           "attack-chk",   "benign-chk"};
 }
 
+BootedMachine::BootedMachine(const WorkloadSetup& setup, const isa::Program& program,
+                             Cycle run_limit)
+    : machine(setup.machine), guest(machine, [&] {
+        os::OsConfig config = setup.os;
+        config.run_limit = run_limit;
+        return config;
+      }()) {
+  guest.load(program);
+  for (isa::ModuleId id : setup.host_enables) guest.enable_module(id);
+}
+
 }  // namespace rse::campaign

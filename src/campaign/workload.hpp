@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "isa/instruction.hpp"
+#include "isa/program.hpp"
 #include "os/guest_os.hpp"
 #include "os/machine.hpp"
 
@@ -31,5 +32,16 @@ struct WorkloadSetup {
 WorkloadSetup make_workload(const std::string& name);
 
 std::vector<std::string> workload_names();
+
+/// A fresh machine booted from a setup: the machine, then the guest OS under
+/// the setup's OS config with `run_limit`, then `program` loaded, then the
+/// host modules enabled.  Golden runs, boundary replays, snapshot chains and
+/// every faulty run start here.
+struct BootedMachine {
+  BootedMachine(const WorkloadSetup& setup, const isa::Program& program, Cycle run_limit);
+
+  os::Machine machine;
+  os::GuestOs guest;
+};
 
 }  // namespace rse::campaign

@@ -51,9 +51,11 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "campaign/runner.hpp"
 #include "campaign/shard.hpp"
+#include "cli_number.hpp"
 #include "common/error.hpp"
 
 using namespace rse;
@@ -101,23 +103,17 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << arg << "\n";
-        std::exit(usage());
-      }
-      return argv[++i];
-    };
+    auto value = [&] { return cli::value_or_exit(argc, argv, &i, usage); };
     if (arg == "--workload") {
       spec.workload = value();
     } else if (arg == "--runs") {
-      spec.runs = static_cast<u32>(std::stoul(value()));
+      spec.runs = cli::number_or_exit<u32>(arg, value(), usage);
     } else if (arg == "--seed") {
-      spec.seed = std::stoull(value());
+      spec.seed = cli::number_or_exit<u64>(arg, value(), usage);
     } else if (arg == "--jobs") {
-      spec.jobs = static_cast<u32>(std::stoul(value()));
+      spec.jobs = cli::number_or_exit<u32>(arg, value(), usage);
     } else if (arg == "--hang-factor") {
-      spec.hang_factor = std::stod(value());
+      spec.hang_factor = cli::number_or_exit<double>(arg, value(), usage);
     } else if (arg == "--static-cfc") {
       spec.static_cfc = true;
     } else if (arg == "--static-ddt") {
@@ -125,7 +121,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--flat-footprint") {
       spec.footprint_summaries = false;
     } else if (arg == "--context-depth") {
-      spec.context_depth = static_cast<u32>(std::stoul(value()));
+      spec.context_depth = cli::number_or_exit<u32>(arg, value(), usage);
     } else if (arg == "--field-sensitive") {
       spec.field_sensitive = true;
     } else if (arg == "--no-field-sensitive") {
@@ -135,47 +131,29 @@ int main(int argc, char** argv) {
     } else if (arg == "--snapshot-fork") {
       spec.snapshot_fork = true;
     } else if (arg == "--snapshot-buckets") {
-      spec.snapshot_buckets = static_cast<u32>(std::stoul(value()));
+      spec.snapshot_buckets = cli::number_or_exit<u32>(arg, value(), usage);
     } else if (arg == "--dme") {
       spec.dme = true;
     } else if (arg == "--dme-seeds") {
-      const std::string v = value();
-      const auto colon = v.find(':');
-      if (colon == std::string::npos) {
-        std::cerr << "--dme-seeds expects A:B\n";
-        return usage();
-      }
       spec.dme = true;
-      spec.dme_seed_a = std::stoull(v.substr(0, colon));
-      spec.dme_seed_b = std::stoull(v.substr(colon + 1));
+      std::tie(spec.dme_seed_a, spec.dme_seed_b) =
+          cli::pair_or_exit<u64>(arg, value(), ':', usage);
     } else if (arg == "--shard") {
-      const std::string v = value();
-      const auto slash = v.find('/');
-      if (slash == std::string::npos) {
-        std::cerr << "--shard expects I/N\n";
-        return usage();
-      }
-      spec.shard_index = static_cast<u32>(std::stoul(v.substr(0, slash)));
-      spec.shard_count = static_cast<u32>(std::stoul(v.substr(slash + 1)));
+      std::tie(spec.shard_index, spec.shard_count) =
+          cli::pair_or_exit<u32>(arg, value(), '/', usage);
     } else if (arg == "--shard-out") {
       shard_out = value();
     } else if (arg == "--merge") {
       merge_mode = true;
     } else if (arg == "--window") {
-      const std::string v = value();
-      const auto colon = v.find(':');
-      if (colon == std::string::npos) {
-        std::cerr << "--window expects LO:HI fractions\n";
-        return usage();
-      }
-      spec.window_lo = std::stod(v.substr(0, colon));
-      spec.window_hi = std::stod(v.substr(colon + 1));
+      std::tie(spec.window_lo, spec.window_hi) =
+          cli::pair_or_exit<double>(arg, value(), ':', usage);
     } else if (arg == "--ci-threshold") {
-      spec.ci_threshold = std::stod(value());
+      spec.ci_threshold = cli::number_or_exit<double>(arg, value(), usage);
     } else if (arg == "--ci-batch") {
-      spec.ci_batch = static_cast<u32>(std::stoul(value()));
+      spec.ci_batch = cli::number_or_exit<u32>(arg, value(), usage);
     } else if (arg == "--ci-max-runs") {
-      spec.ci_max_runs = static_cast<u32>(std::stoul(value()));
+      spec.ci_max_runs = cli::number_or_exit<u32>(arg, value(), usage);
     } else if (arg == "--targets") {
       if (!parse_targets(value(), &spec.targets)) {
         std::cerr << "bad --targets list\n";
@@ -186,7 +164,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--json") {
       json_path = value();
     } else if (arg == "--describe") {
-      describe_index = std::stol(value());
+      describe_index = cli::number_or_exit<u32>(arg, value(), usage);
     } else if (arg == "--digest") {
       digest_only = true;
     } else if (merge_mode && arg.rfind("--", 0) != 0) {

@@ -31,6 +31,7 @@
 
 #include "analysis/analyzer.hpp"
 #include "campaign/workload.hpp"
+#include "cli_number.hpp"
 #include "common/error.hpp"
 #include "isa/assembler.hpp"
 #include "workloads/workloads.hpp"
@@ -151,22 +152,17 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << arg << "\n";
-        std::exit(usage());
-      }
-      return argv[++i];
-    };
+    auto value = [&] { return cli::value_or_exit(argc, argv, &i, usage); };
+    auto next_u32 = [&] { return cli::number_or_exit<u32>(arg, value(), usage); };
     if (arg == "--workload") workload = value();
     else if (arg == "--protected") protected_specs.push_back(value());
     else if (arg == "--instrument") instrument = true;
     else if (arg == "--no-cfi") options.resolve_indirect_address_taken = false;
     else if (arg == "--flat-footprint") options.interprocedural_footprint = false;
-    else if (arg == "--context-depth") options.context_depth = static_cast<u32>(std::strtoul(value(), nullptr, 0));
+    else if (arg == "--context-depth") options.context_depth = next_u32();
     else if (arg == "--field-sensitive") options.field_sensitive = true;
     else if (arg == "--no-field-sensitive") options.field_sensitive = false;
-    else if (arg == "--sp-depth") options.field_sp_depth = static_cast<u32>(std::strtoul(value(), nullptr, 0));
+    else if (arg == "--sp-depth") options.field_sp_depth = next_u32();
     else if (arg == "--json") json = true;
     else if (arg == "--cfg") cfg_dump = true;
     else if (arg == "--quiet") quiet = true;

@@ -41,8 +41,11 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "analysis/analyzer.hpp"
+#include "cli_number.hpp"
 #include "common/error.hpp"
 #include "exec/fast_session.hpp"
 #include "isa/assembler.hpp"
@@ -144,9 +147,9 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next_u64 = [&](u64 fallback) -> u64 {
-      return i + 1 < argc ? std::stoull(argv[++i]) : fallback;
-    };
+    auto value = [&] { return cli::value_or_exit(argc, argv, &i, usage); };
+    auto next_u64 = [&] { return cli::number_or_exit<u64>(arg, value(), usage); };
+    auto next_u32 = [&] { return cli::number_or_exit<u32>(arg, value(), usage); };
     if (arg == "--rse") machine_config.framework_present = true;
     else if (arg == "--icm") enable_icm = true;
     else if (arg == "--mlr") enable_mlr = true;
@@ -155,31 +158,25 @@ int main(int argc, char** argv) {
     else if (arg == "--cfc") enable_cfc = true;
     else if (arg == "--instrument") instrument = true;
     else if (arg == "--randomize") os_config.randomize_layout = true;
-    else if (arg == "--rerand") os_config.rerandomize_interval = next_u64(0);
-    else if (arg == "--limit") os_config.run_limit = next_u64(os_config.run_limit);
-    else if (arg == "--requests") requests = static_cast<u32>(next_u64(0));
-    else if (arg == "--io") io_latency = next_u64(0);
+    else if (arg == "--rerand") os_config.rerandomize_interval = next_u64();
+    else if (arg == "--limit") os_config.run_limit = next_u64();
+    else if (arg == "--requests") requests = next_u32();
+    else if (arg == "--io") io_latency = next_u64();
     else if (arg == "--stats") stats = true;
-    else if (arg == "--trace") trace = next_u64(0);
+    else if (arg == "--trace") trace = next_u64();
     else if (arg == "--lint") lint = true;
     else if (arg == "--fast") fast = true;
     else if (arg == "--dme") dme = true;
     else if (arg == "--dme-seeds") {
-      const std::string v = i + 1 < argc ? argv[++i] : "";
-      const auto colon = v.find(':');
-      if (colon == std::string::npos) {
-        std::cerr << "--dme-seeds expects A:B\n";
-        return usage();
-      }
       dme = true;
-      dme_seed_a = std::stoull(v.substr(0, colon));
-      dme_seed_b = std::stoull(v.substr(colon + 1));
+      std::tie(dme_seed_a, dme_seed_b) =
+          cli::pair_or_exit<u64>(arg, value(), ':', usage);
     }
     else if (arg == "--flat-footprint") os_config.footprint_summaries = false;
-    else if (arg == "--context-depth") os_config.context_depth = static_cast<u32>(next_u64(os_config.context_depth));
+    else if (arg == "--context-depth") os_config.context_depth = next_u32();
     else if (arg == "--field-sensitive") os_config.field_sensitive = true;
     else if (arg == "--no-field-sensitive") os_config.field_sensitive = false;
-    else if (arg == "--sp-depth") os_config.field_sp_depth = static_cast<u32>(next_u64(os_config.field_sp_depth));
+    else if (arg == "--sp-depth") os_config.field_sp_depth = next_u32();
     else if (arg == "--static-cfc") {
       os_config.static_cfc = true;
       enable_cfc = true;
@@ -192,8 +189,13 @@ int main(int argc, char** argv) {
     else path = arg;
   }
   if (path.empty()) return usage();
-  if (enable_icm || enable_mlr || enable_ddt || enable_ahbm || enable_cfc || instrument ||
-      os_config.randomize_layout) {
+  std::vector<isa::ModuleId> enables;
+  if (enable_icm) enables.push_back(isa::ModuleId::kIcm);
+  if (enable_mlr) enables.push_back(isa::ModuleId::kMlr);
+  if (enable_ddt) enables.push_back(isa::ModuleId::kDdt);
+  if (enable_ahbm) enables.push_back(isa::ModuleId::kAhbm);
+  if (enable_cfc) enables.push_back(isa::ModuleId::kCfc);
+  if (!enables.empty() || instrument || os_config.randomize_layout) {
     machine_config.framework_present = true;
   }
 
@@ -226,12 +228,6 @@ int main(int argc, char** argv) {
       // exercises trace parity across both execution engines.
       machine_config.framework_present = true;
       const isa::Program program = isa::assemble(source);
-      std::vector<isa::ModuleId> enables;
-      if (enable_icm) enables.push_back(isa::ModuleId::kIcm);
-      if (enable_mlr) enables.push_back(isa::ModuleId::kMlr);
-      if (enable_ddt) enables.push_back(isa::ModuleId::kDdt);
-      if (enable_ahbm) enables.push_back(isa::ModuleId::kAhbm);
-      if (enable_cfc) enables.push_back(isa::ModuleId::kCfc);
       dme::VariantSpec variant_b{machine_config, os_config, enables, dme_seed_b};
       const dme::RecordedTrace ref = dme::record_trace(variant_b, program);
       dme::VariantSpec variant_a{machine_config, os_config, enables, dme_seed_a};
@@ -270,11 +266,7 @@ int main(int argc, char** argv) {
                       << pc << std::dec << "  " << isa::disassemble(instr) << "\n";
           });
     }
-    if (enable_icm) guest.enable_module(isa::ModuleId::kIcm);
-    if (enable_mlr) guest.enable_module(isa::ModuleId::kMlr);
-    if (enable_ddt) guest.enable_module(isa::ModuleId::kDdt);
-    if (enable_ahbm) guest.enable_module(isa::ModuleId::kAhbm);
-    if (enable_cfc) guest.enable_module(isa::ModuleId::kCfc);
+    for (isa::ModuleId id : enables) guest.enable_module(id);
     if (fast) {
       const isa::Program program = isa::assemble(source);
       exec::FastSession session(guest, exec::FastSessionConfig{/*relaxed=*/true});
