@@ -98,18 +98,8 @@ RunResult CampaignRunner::run_one(const WorkloadSetup& setup, const GoldenRun& g
 Start eligibility(const InjectionRecord& record, const isa::Program& program,
                   const SnapshotChain* chain,
                   const exec::FastForwardController::BoundaryMap* boundaries) {
-  const bool memory_fault = record.target == InjectTarget::kInstructionWord ||
-                            record.target == InjectTarget::kDataWord;
-  // An exact snapshot is the classic machine state itself, so any target may
-  // start from it.  Otherwise a register fault applies to the transplanted
-  // state directly; a memory-word fault needs the in-flight ranges only a
-  // fast-forward boundary records; a config fault interacts with in-flight
-  // CHK IOQ entries and never qualifies.
-  const bool exact = chain != nullptr && chain->exact;
-  if (!exact && record.target != InjectTarget::kRegisterBit &&
-      !(memory_fault && boundaries != nullptr)) {
-    return {Eligibility::kTarget};
-  }
+  // A snapshot is the classic machine state itself, so any target may start
+  // from it.
   if (chain != nullptr) {
     const os::MachineSnapshot* snap = nullptr;
     for (const os::MachineSnapshot& s : chain->snaps) {
@@ -119,6 +109,10 @@ Start eligibility(const InjectionRecord& record, const isa::Program& program,
     if (snap == nullptr) return {Eligibility::kUnmapped};
     return {Eligibility::kFast, snap};
   }
+  // A register or memory-word fault applies to the transplanted state (the
+  // latter checked against the boundary's in-flight ranges below); a config
+  // fault interacts with in-flight CHK IOQ entries and never qualifies.
+  if (record.target == InjectTarget::kConfigBit) return {Eligibility::kTarget};
   // Records whose injection cycle the fault-free run never reaches have no
   // boundary entry (the classic path applies no fault there either).
   const auto boundary = boundaries->find(record.inject_cycle);
@@ -127,6 +121,8 @@ Start eligibility(const InjectionRecord& record, const isa::Program& program,
   // uncommitted text, or the target of a dispatched store) keeps its clean
   // value across the flip in the classic run, which the pipeline-less fast
   // prefix cannot reproduce.
+  const bool memory_fault = record.target == InjectTarget::kInstructionWord ||
+                            record.target == InjectTarget::kDataWord;
   if (memory_fault && boundary->second.conflicts(record.addr, 4)) {
     return {Eligibility::kConflict};
   }
@@ -271,9 +267,10 @@ FastForwardStats CampaignRunner::fast_forward_stats() const {
   const auto at = [this](Eligibility reason) {
     return ff_accum_[static_cast<std::size_t>(reason)].load(std::memory_order_relaxed);
   };
-  return {at(Eligibility::kFast),     at(Eligibility::kTarget),   at(Eligibility::kUnmapped),
-          at(Eligibility::kConflict), at(Eligibility::kChecked),  at(Eligibility::kSyscall),
-          at(Eligibility::kSuspend),  at(Eligibility::kIllegal),  at(Eligibility::kOther)};
+  return {at(Eligibility::kFast),     at(Eligibility::kGolden),  at(Eligibility::kTarget),
+          at(Eligibility::kUnmapped), at(Eligibility::kConflict), at(Eligibility::kChecked),
+          at(Eligibility::kSyscall),  at(Eligibility::kSuspend),  at(Eligibility::kIllegal),
+          at(Eligibility::kOther)};
 }
 
 RunResult CampaignRunner::run_one_fast_forward(
@@ -289,19 +286,18 @@ RunResult CampaignRunner::run_one_fast_forward(
 RunResult CampaignRunner::run_one_forked(const WorkloadSetup& setup, const GoldenRun& golden,
                                          const InjectionRecord& record, Cycle budget,
                                          const SnapshotChain& chain) const {
-  const Start start = eligibility(record, golden.program, &chain, nullptr);
-  // Only a fast-forward-built chain counts: it is the --fast-forward mode's
-  // way of skipping prefixes.
-  if (!chain.exact) count(start.reason);
-  return run_from(setup, golden, record, budget, start, nullptr, nullptr);
+  return run_from(setup, golden, record, budget,
+                  eligibility(record, golden.program, &chain, nullptr), nullptr, nullptr);
 }
 
 SnapshotChain CampaignRunner::build_snapshot_chain(const WorkloadSetup& setup,
                                                    const GoldenRun& golden,
                                                    const CampaignSpec& spec, Cycle budget,
                                                    bool use_fast_forward) const {
-  SnapshotChain chain;
-  chain.exact = !use_fast_forward;
+  if (use_fast_forward) {
+    throw ConfigError("snapshot chains are built from reset only: a fast-forward "
+                      "transplant drains the pipeline, so its snapshots are not bit-exact");
+  }
   const u32 buckets = std::max(1u, spec.snapshot_buckets);
   std::vector<Cycle> bounds;
   for (u32 b = 0; b < buckets; ++b) {
@@ -309,42 +305,15 @@ SnapshotChain CampaignRunner::build_snapshot_chain(const WorkloadSetup& setup,
     if (bounds.empty() || bounds.back() != bound) bounds.push_back(bound);
   }
 
-  // Fast-forward mode: each bound's fault-free prefix runs through the exec/
-  // fast engine and is transplanted into the cycle-accurate core at the
-  // bound.  The transplant drains the pipeline, so these snapshots are not
-  // microarchitecturally identical to a from-reset run's state — the chain
-  // is inexact and forking from it is register-fault-only.
-  exec::FastForwardController::BoundaryMap bmap;
-  if (use_fast_forward) {
-    std::vector<Cycle> ff_bounds;
-    for (Cycle bound : bounds) {
-      if (bound > 0) ff_bounds.push_back(bound);
-    }
-    if (!ff_bounds.empty()) {
-      BootedMachine replay(setup, golden.program, budget);
-      bmap = exec::FastForwardController::map_boundaries(replay.guest, std::move(ff_bounds));
-    }
-  }
-
-  // Exact mode: one from-reset cycle-accurate pass reaches every bound.
-  // Because the pass replicates the classic pre-injection loop exactly, each
-  // snapshot is bit-identical to the machine state a classic run reaches at
-  // that cycle.
-  std::optional<BootedMachine> booted;
+  // One from-reset cycle-accurate pass reaches every bound.  Because the pass
+  // replicates the classic pre-injection loop exactly, each snapshot is
+  // bit-identical to the machine state a classic run reaches at that cycle.
+  SnapshotChain chain;
+  BootedMachine booted(setup, golden.program, budget);
+  os::Machine& machine = booted.machine;
+  os::GuestOs& guest = booted.guest;
   for (Cycle bound : bounds) {
-    if (!booted || !chain.exact) booted.emplace(setup, golden.program, budget);
-    os::Machine& machine = booted->machine;
-    os::GuestOs& guest = booted->guest;
-    if (chain.exact) {
-      run_to(guest, std::min(bound, budget));
-    } else if (bound > 0) {
-      const auto boundary = bmap.find(bound);
-      if (boundary == bmap.end()) break;  // golden finished before this bound
-      if (!exec::FastForwardController::fast_forward_to(guest, golden.program,
-                                                        boundary->second.position, bound)) {
-        continue;  // fast mode bailed; runs in this bucket fork from an earlier snap
-      }
-    }
+    run_to(guest, std::min(bound, budget));
     // Quiesce, then capture.
     while (!guest.finished() && machine.now() < budget &&
            !os::MachineSnapshot::quiescent(machine)) {
@@ -370,6 +339,11 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
     throw ConfigError("DME is incompatible with checkpoint forking: the trace "
                       "checker streams from commit zero and cannot start "
                       "mid-trace from a restored snapshot");
+  }
+  if (spec.fast_forward && spec.snapshot_fork) {
+    throw ConfigError("fast-forward is incompatible with checkpoint forking: "
+                      "snapshot chains are built from reset so that they stay "
+                      "bit-exact; choose one start strategy");
   }
   WorkloadSetup setup = make_workload(spec.workload);
   setup.os.static_cfc = spec.static_cfc;
@@ -433,7 +407,8 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
   // from a fast-forwarded run, skewing the against-golden classification.  A
   // DME baseline divergence (variant B disagrees with fault-free variant A)
   // disables it too: the skipped prefix could hide where the baseline
-  // diverges, so set_position would desynchronize the checker.
+  // diverges, so set_position would desynchronize the checker.  Either way
+  // every executed run counts as an Eligibility::kGolden fallback.
   for (std::atomic<u64>& counter : ff_accum_) counter.store(0, std::memory_order_relaxed);
   exec::FastForwardController::BoundaryMap boundaries;
   exec::FastForwardController::SyscallSchedule schedule;
@@ -443,7 +418,7 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
       golden->ddt_footprint_violations == 0 &&
       (!spec.dme || golden_ptr->dme_divergences == 0);
   const bool use_fast_forward = spec.fast_forward && golden_baseline_clean;
-  if (use_fast_forward && !spec.snapshot_fork) {
+  if (use_fast_forward) {
     // With no boundary mapped yet, eligibility() answers kUnmapped for
     // exactly the records whose target a fast start can take.
     std::vector<Cycle> cycles;
@@ -472,7 +447,7 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
   // mode's setup cost, amortized across every run that forks from it.
   SnapshotChain chain;
   if (spec.snapshot_fork) {
-    chain = build_snapshot_chain(setup, *golden, spec, budget, use_fast_forward);
+    chain = build_snapshot_chain(setup, *golden, spec, budget, false);
   }
 
   // Execute plan indices [lo, hi), appending to `results` in index order.
@@ -496,6 +471,7 @@ CampaignReport CampaignRunner::run(const CampaignSpec& spec) {
           slot = run_one_fast_forward(setup, *golden_ptr, record, budget, boundaries,
                                       &schedule, dme_ref);
         } else {
+          if (spec.fast_forward) count(Eligibility::kGolden);
           slot = run_one_with_budget(setup, *golden_ptr, record, budget, dme_ref);
         }
       }

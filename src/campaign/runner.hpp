@@ -30,23 +30,20 @@
 namespace rse::campaign {
 
 /// One whole-machine snapshot per injection-cycle bucket, in increasing `at`
-/// order.  A chain built from a single from-reset pass is bit-exact (`exact`):
-/// restoring any snapshot reproduces the classic run's machine state at that
-/// cycle precisely, so runs of *every* fault target may fork from it.  A
-/// chain built through fast-forward transplants is not microarchitecturally
-/// exact; forking from it is restricted to register-bit faults
-/// (eligibility()).
+/// order, captured by a single from-reset pass.  Restoring any snapshot
+/// reproduces the classic run's machine state at that cycle bit for bit, so
+/// runs of every fault target may fork from it.
 struct SnapshotChain {
   std::vector<os::MachineSnapshot> snaps;
-  bool exact = true;
 };
 
 /// Whether a faulty run may skip its fault-free prefix (kFast), or why it
 /// starts from reset.  In FastForwardStats' field order: indexes its counters.
 enum class Eligibility : u8 {
   kFast,
-  kTarget,    // fault target the start state cannot take (config faults;
-              // every non-register fault on an inexact chain)
+  kGolden,    // the golden run had detector activity (or a DME baseline
+              // divergence): the whole campaign runs from reset
+  kTarget,    // fault target a fast-forward boundary cannot take (config)
   kUnmapped,  // no boundary or snapshot at or before the injection cycle
               // (golden finished first, or a CI-refinement index)
   kConflict,  // memory-word fault overlapped in-flight state
@@ -56,7 +53,7 @@ enum class Eligibility : u8 {
   kIllegal,   // fast prefix: illegal word or host trap
   kOther,     // fast prefix: early exit / boundary position mismatch
 };
-inline constexpr std::size_t kNumEligibilities = 9;
+inline constexpr std::size_t kNumEligibilities = 10;
 
 /// Where an eligible record starts: a snapshot to fork from or a boundary to
 /// fast-forward to (neither: from reset, for `reason`).
@@ -82,8 +79,8 @@ Start eligibility(const InjectionRecord& record, const isa::Program& program,
 /// took — but it answers "why wasn't this campaign faster?" precisely.
 /// fallback_X counts Eligibility::kX.
 struct FastForwardStats {
-  u64 fast = 0;  // runs that skipped their prefix: fast-engine prefixes, and
-                 // forks from a fast-forward-built (inexact) snapshot chain
+  u64 fast = 0;  // runs whose prefix ran through the fast engine
+  u64 fallback_golden = 0;
   u64 fallback_target = 0;
   u64 fallback_unmapped = 0;
   u64 fallback_conflict = 0;
@@ -94,8 +91,9 @@ struct FastForwardStats {
   u64 fallback_other = 0;
 
   u64 fallbacks() const {
-    return fallback_target + fallback_unmapped + fallback_conflict + fallback_checked +
-           fallback_syscall + fallback_suspend + fallback_illegal + fallback_other;
+    return fallback_golden + fallback_target + fallback_unmapped + fallback_conflict +
+           fallback_checked + fallback_syscall + fallback_suspend + fallback_illegal +
+           fallback_other;
   }
 };
 
@@ -135,25 +133,24 @@ class CampaignRunner {
                                      nullptr,
                                  const dme::CanonicalTrace* dme_reference = nullptr) const;
 
-  /// Fast-forward fallback accounting for the most recent run() (or the
-  /// run_one_fast_forward / inexact-chain run_one_forked calls since then).
-  /// Not part of any digest.
+  /// Fast-forward fallback accounting for the most recent run() (and the
+  /// run_one_fast_forward calls since then).  Not part of any digest.
   FastForwardStats fast_forward_stats() const;
 
   /// Checkpoint-fork variant: restore the latest chain snapshot at or before
   /// the injection cycle (eligibility()), so only the post-snapshot suffix is
-  /// simulated.  Records with no eligible snapshot run from reset.  Runs on
-  /// an inexact (fast-forward-built) chain count in fast_forward_stats().
+  /// simulated.  Records with no eligible snapshot run from reset.  Forked
+  /// runs are not counted in fast_forward_stats().
   RunResult run_one_forked(const WorkloadSetup& setup, const GoldenRun& golden,
                            const InjectionRecord& record, Cycle budget,
                            const SnapshotChain& chain) const;
 
   /// Build the per-bucket snapshot chain for a spec: bucket boundaries are
-  /// golden.cycles * b / snapshot_buckets.  With `use_fast_forward`, each
-  /// boundary's prefix runs through the exec/ fast engine (chain.exact =
-  /// false); otherwise one from-reset cycle-accurate pass captures every
-  /// boundary (bit-exact).  Each capture steps past its boundary to the next
-  /// quiescent cycle (os::MachineSnapshot::quiescent).
+  /// golden.cycles * b / snapshot_buckets, all captured by one from-reset
+  /// cycle-accurate pass.  Each capture steps past its boundary to the next
+  /// quiescent cycle (os::MachineSnapshot::quiescent).  `use_fast_forward`
+  /// must be false: a chain built through fast-forward transplants is not
+  /// bit-exact, so `true` throws ConfigError.
   SnapshotChain build_snapshot_chain(const WorkloadSetup& setup, const GoldenRun& golden,
                                      const CampaignSpec& spec, Cycle budget,
                                      bool use_fast_forward) const;

@@ -193,10 +193,8 @@ TEST(SnapshotPropertyTest, MidRunOutputRoundTripsBitExactly) {
 }
 
 // Campaign-level pin: checkpoint-fork must not move the deterministic
-// digest, with the snapshot chain built classically (exact) and through
-// --fast-forward (transplanted, register-faults-only forking), across
-// bucket counts.
-TEST(SnapshotPropertyTest, CheckpointForkDigestInvariantAcrossBucketsAndFastForward) {
+// digest, across bucket counts.
+TEST(SnapshotPropertyTest, CheckpointForkDigestInvariantAcrossBuckets) {
   campaign::GoldenCache cache;
   campaign::CampaignRunner runner(&cache);
   campaign::CampaignSpec spec;
@@ -207,14 +205,11 @@ TEST(SnapshotPropertyTest, CheckpointForkDigestInvariantAcrossBucketsAndFastForw
   const std::string baseline = campaign::deterministic_digest(runner.run(spec));
 
   for (const u32 buckets : {1u, 4u, 8u, 13u}) {
-    for (const bool fast_forward : {false, true}) {
-      campaign::CampaignSpec fork_spec = spec;
-      fork_spec.snapshot_fork = true;
-      fork_spec.snapshot_buckets = buckets;
-      fork_spec.fast_forward = fast_forward;
-      EXPECT_EQ(baseline, campaign::deterministic_digest(runner.run(fork_spec)))
-          << "buckets=" << buckets << " fast_forward=" << fast_forward;
-    }
+    campaign::CampaignSpec fork_spec = spec;
+    fork_spec.snapshot_fork = true;
+    fork_spec.snapshot_buckets = buckets;
+    EXPECT_EQ(baseline, campaign::deterministic_digest(runner.run(fork_spec)))
+        << "buckets=" << buckets;
   }
 }
 

@@ -24,7 +24,8 @@
 //     --snapshot-fork       checkpoint-fork injection: one whole-machine
 //                           snapshot per injection-cycle bucket, every run
 //                           forks from the latest snapshot before its
-//                           injection cycle (identical digest)
+//                           injection cycle (identical digest; not with
+//                           --fast-forward)
 //     --snapshot-buckets n  snapshot-chain bucket count               (8)
 //     --dme                 divergent multi-version execution: the campaign
 //                           runs layout-randomized under MLR seed A and every
@@ -201,12 +202,12 @@ int main(int argc, char** argv) {
         // only — outcomes and the digest never depend on the path taken.
         const campaign::FastForwardStats ff = runner.fast_forward_stats();
         std::cout << "fast-forward: " << ff.fast << " fast, " << ff.fallbacks()
-                  << " fallback (target " << ff.fallback_target << ", unmapped "
-                  << ff.fallback_unmapped << ", conflict " << ff.fallback_conflict
-                  << ", checked " << ff.fallback_checked
-                  << ", syscall " << ff.fallback_syscall << ", suspend "
-                  << ff.fallback_suspend << ", illegal " << ff.fallback_illegal
-                  << ", other " << ff.fallback_other << ")\n";
+                  << " fallback (golden " << ff.fallback_golden << ", target "
+                  << ff.fallback_target << ", unmapped " << ff.fallback_unmapped
+                  << ", conflict " << ff.fallback_conflict << ", checked " << ff.fallback_checked
+                  << ", syscall " << ff.fallback_syscall << ", suspend " << ff.fallback_suspend
+                  << ", illegal " << ff.fallback_illegal << ", other " << ff.fallback_other
+                  << ")\n";
       }
     }
     if (!shard_out.empty() && !campaign::write_shard_report(report, shard_out)) {
